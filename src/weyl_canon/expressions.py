@@ -11,8 +11,10 @@ Grammar (case sensitive)::
 
 ``i`` is the imaginary unit, ``x`` the free variable.  Functions: sin,
 cos, exp, log, atan, sqrt, step.  ``step(u)`` is 0 for u < 0, 1 for
-u > 0 and 1/2 at u = 0; together with the ``breakpoints`` list of the
-owning measure it encodes piecewise-defined densities exactly.
+u > 0 and 1/2 at u = 0, so piecewise-defined densities are encoded
+exactly: ``step_roots`` finds the jumps of steps with affine arguments,
+and ``fold_steps`` reduces an expression to its form on one piece
+between them.
 
 ``parse_expr`` builds an AST, ``eval_expr`` evaluates it at a real x
 with full domain checking, and ``compile_expr`` turns it into a plain
@@ -40,6 +42,9 @@ __all__ = [
     "eval_expr",
     "compile_expr",
     "to_source",
+    "has_variable",
+    "step_roots",
+    "fold_steps",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "atan", "sqrt", "step")
@@ -291,6 +296,111 @@ def eval_expr(expr: Expr, x: float) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ExpressionDomainError(f"non-finite value {value} at x={x}")
     return value
+
+
+# --------------------------------------------------------------------------
+# piece structure
+# --------------------------------------------------------------------------
+
+def _children(node):
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def _walk(expr):
+    """Every node of the AST, parents first."""
+    yield expr
+    for child in _children(expr):
+        yield from _walk(child)
+
+
+def has_variable(expr: Expr) -> bool:
+    """True when ``x`` occurs in the AST."""
+    return isinstance(expr, Variable) or any(map(has_variable, _children(expr)))
+
+
+def _affine(node):
+    """(a, b) with node == a*x + b when the AST is affine in x by
+    its structure (sums, constant multiples and constant divisors of x),
+    else None."""
+    if not has_variable(node):
+        try:
+            return 0j, eval_expr(node, 0.0)
+        except ExpressionDomainError:
+            return None
+    if isinstance(node, Variable):
+        return 1 + 0j, 0j
+    if isinstance(node, Unary):
+        inner = _affine(node.operand)
+        return None if inner is None else (-inner[0], -inner[1])
+    if not isinstance(node, BinOp):
+        return None
+    left, right = _affine(node.left), _affine(node.right)
+    if left is None or right is None:
+        return None
+    (a1, b1), (a2, b2) = left, right
+    if node.op == "+":
+        return a1 + a2, b1 + b2
+    if node.op == "-":
+        return a1 - a2, b1 - b2
+    if node.op == "*" and a1 == 0:
+        return b1 * a2, b1 * b2
+    if node.op == "*" and a2 == 0:
+        return a1 * b2, b1 * b2
+    if node.op == "/" and a2 == 0 and b2 != 0:
+        return a1 / b2, b1 / b2
+    return None
+
+
+def _step_line(node):
+    """Real (a, b) when node is ``step(a*x + b)`` with a real affine
+    argument, else None."""
+    if not (isinstance(node, Call) and node.func == "step"):
+        return None
+    ab = _affine(node.arg)
+    if ab is None or ab[0].imag != 0.0 or ab[1].imag != 0.0:
+        return None
+    return ab[0].real, ab[1].real
+
+
+def step_roots(expr: Expr) -> tuple:
+    """Sorted roots -b/a of every ``step(a*x + b)`` in the AST whose
+    argument is real and affine with a != 0: the only places where such
+    a step jumps."""
+    lines = filter(None, map(_step_line, _walk(expr)))
+    return tuple(sorted({-b / a for a, b in lines if a != 0.0}))
+
+
+def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:
+    """The AST restricted to the open interval (lo, hi): every
+    ``step(a*x + b)`` with a real affine argument that keeps one sign on
+    (lo, hi) becomes the literal 0 or 1; any other step stays.  Inner
+    steps fold first, so an argument may become affine by folding."""
+    if isinstance(expr, Unary):
+        return Unary(expr.op, fold_steps(expr.operand, lo, hi))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, fold_steps(expr.left, lo, hi),
+                     fold_steps(expr.right, lo, hi))
+    if not isinstance(expr, Call):
+        return expr
+    node = Call(expr.func, fold_steps(expr.arg, lo, hi))
+    line = _step_line(node)
+    if line is None or not has_variable(node):
+        return node
+    a, b = line
+    if a == 0.0:
+        return Literal(complex(_step(b)))
+    root = -b / a
+    if lo < root < hi:
+        return node
+    # the sign of a*x + b on (lo, hi) is the sign of a when the root lies
+    # at or left of lo, and its opposite when it lies at or right of hi
+    return Literal(complex(float((a > 0.0) == (root <= lo))))
 
 
 # --------------------------------------------------------------------------

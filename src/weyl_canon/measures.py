@@ -12,10 +12,12 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -29,13 +31,17 @@ from .expressions import (
     compile_expr,
     compile_tuple,
     eval_expr,
+    fold_steps,
+    has_variable,
     parse_expr,
+    step_roots,
     to_source,
 )
 
 __all__ = [
     "Atom",
     "CoefficientMeasure",
+    "Piece",
     "Problem",
     "SLProblem",
     "ScalarAtom",
@@ -66,6 +72,18 @@ def _hermitian_or_none(m):
     if m[1, 0] != np.conj(m[0, 1]):
         return f"m21={m[1, 0]} is not the conjugate of m12={m[0, 1]}"
     return None
+
+
+def _density_matrix(d11, d12, d22):
+    """Hermitian 2x2 matrix from the stored entries; the diagonal is
+    projected to its real part."""
+    d12 = complex(d12)
+    return np.array([[complex(d11).real, d12], [d12.conjugate(), complex(d22).real]],
+                    dtype=complex)
+
+
+def _not_real(v) -> bool:
+    return abs(v.imag) > 1e-9 * (1.0 + abs(v))
 
 
 def psd_violation(m, tol_scale=1e-12):
@@ -104,8 +122,9 @@ class CoefficientMeasure:
     The density matrix is Hermitian by construction: only d11, d12, d22
     are stored, the 21 entry is derived as conj(d12), and the diagonal
     is projected to its real part on evaluation.  ``breakpoints`` lists
-    the x-values where the density entries may jump (when the entries
-    use ``step``); integrators split intervals there.
+    further x-values where the density entries may jump; the roots of
+    ``step`` arguments that are affine in x need not be listed, since
+    ``Problem`` finds them in the expressions.
     """
 
     __slots__ = ("d11", "d12", "d22", "atoms", "breakpoints",
@@ -132,10 +151,9 @@ class CoefficientMeasure:
         self.atoms = tuple(normalized)
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
 
-        self._f11 = compile_expr(self.d11)
-        self._f12 = compile_expr(self.d12)
-        self._f22 = compile_expr(self.d22)
-        self._ftuple = compile_tuple(self.d11, self.d12, self.d22)
+        f = self._ftuple = compile_tuple(self.d11, self.d12, self.d22)
+        self._f11, self._f12, self._f22 = (
+            (lambda x, k=k: f(x)[k]) for k in range(3))
         self._mass_cache = {}
 
     # -- evaluation --------------------------------------------------------
@@ -146,8 +164,7 @@ class CoefficientMeasure:
         return complex(a).real, complex(b), complex(d).real
 
     def density(self, x) -> np.ndarray:
-        a, b, d = self.density_entries(x)
-        return np.array([[a, b], [b.conjugate(), d]], dtype=complex)
+        return _density_matrix(*self._ftuple(x))
 
     @property
     def atom_positions(self):
@@ -213,14 +230,61 @@ class CoefficientMeasure:
         return doc
 
 
+_ENTRY_LABELS = ("q.d11", "q.d12", "q.d22", "w.d11", "w.d12", "w.d22")
+
+
+def _system(lam, qf, wf):
+    """x -> flat A(x) = J (q - lam w) = (a11, a12, a21, a22), from the
+    callables x -> (d11, d12, d22) of q and w; diagonals are projected to
+    their real parts.
+
+    The system J u' + q u = lam w u rewrites as u' = J (q - lam w) u on
+    atom-free intervals because J^{-1} = -J exactly.
+    """
+    def entries(x):
+        q11, q12, q22 = qf(x)
+        w11, w12, w22 = wf(x)
+        m11 = complex(q11).real - lam * complex(w11).real
+        m12 = complex(q12) - lam * complex(w12)
+        m21 = complex(q12).conjugate() - lam * complex(w12).conjugate()
+        m22 = complex(q22).real - lam * complex(w22).real
+        # J @ M with J = [[0, -1], [1, 0]]
+        return (-m21, -m22, m11, m12)
+
+    return entries
+
+
+class Piece(NamedTuple):
+    """The open interval (lo, hi) between consecutive discontinuities,
+    with the six density entries (q11, q12, q22, w11, w12, w22) there:
+    each is its exact constant value on the piece, or None where it
+    still depends on x."""
+
+    lo: float
+    hi: float
+    values: tuple
+
+    @property
+    def constant(self) -> bool:
+        return None not in self.values
+
+
 class Problem:
     """Validated canonical-system problem on (0, b).
 
     b may be ``math.inf``.  alpha is the boundary angle at 0 in [0, pi).
     q must be Hermitian (structural) with real diagonal densities, w
-    must be positive semi-definite on a sample grid and at every atom,
-    and not identically zero.  All density entries must be integrable
-    near the regular endpoint 0 (checked by quadrature).
+    must be positive semi-definite and not identically zero: exactly on
+    every piece where both densities are constant, on a sample grid on
+    the others, and at every atom.  All density entries must be
+    integrable near the regular endpoint 0 (checked by quadrature unless
+    the entry is constant on the first piece).
+
+    ``discontinuities`` holds the atom positions, the declared
+    breakpoints and the roots in (0, b) of every ``step`` argument that
+    is affine in x.  ``pieces`` splits (0, b) there.  It does not depend
+    on lambda and is built once, also when validate is False; an entry
+    that is constant on a piece but undefined there is rejected then too.
     """
 
     def __init__(self, b, alpha, q: CoefficientMeasure, w: CoefficientMeasure,
@@ -234,12 +298,38 @@ class Problem:
         if not (0.0 <= self.alpha < math.pi):
             raise ValidationError(f"alpha must lie in [0, pi), got {self.alpha}")
 
+        entries = (q.d11, q.d12, q.d22, w.d11, w.d12, w.d22)
+        roots = {r for e in entries for r in step_roots(e) if 0.0 < r < self.b}
         positions = sorted(set(q.atom_positions) | set(w.atom_positions))
         self.atom_positions = tuple(positions)
         self.discontinuities = tuple(sorted(
-            set(positions) | set(q.breakpoints) | set(w.breakpoints)))
+            set(positions) | set(q.breakpoints) | set(w.breakpoints) | roots))
+        self.pieces = self._build_pieces(entries)
+        self._piece_los = [piece.lo for piece in self.pieces]
         if validate:
             self._validate()
+
+    def _build_pieces(self, entries):
+        cuts = [p for p in self.discontinuities if 0.0 < p < self.b]
+        pieces = []
+        for lo, hi in zip([0.0] + cuts, cuts + [self.b]):
+            values = []
+            for label, expr in zip(_ENTRY_LABELS, entries):
+                folded = fold_steps(expr, lo, hi)
+                if has_variable(folded):
+                    values.append(None)
+                    continue
+                try:
+                    values.append(eval_expr(folded, lo))
+                except ExpressionDomainError as exc:
+                    raise ValidationError(
+                        f"{label} on ({lo:.6g}, {hi:.6g}): {exc}") from None
+            pieces.append(Piece(lo, hi, tuple(values)))
+        return tuple(pieces)
+
+    def _piece_at(self, x) -> Piece:
+        """The piece whose interval [lo, hi) holds x in [0, b)."""
+        return self.pieces[bisect.bisect_right(self._piece_los, x) - 1]
 
     # -- validation --------------------------------------------------------
 
@@ -265,7 +355,24 @@ class Problem:
                         f"{name} atom at x={a.position} lies outside (0, {self.b})"
                     )
 
-        grid = self._sample_grid()
+        w_on_constant_pieces = []
+        for piece in self.pieces:
+            if not piece.constant:
+                continue
+            where = f"on ({piece.lo:.6g}, {piece.hi:.6g})"
+            for k in (0, 2, 3, 5):
+                v = piece.values[k]
+                if _not_real(v):
+                    raise ValidationError(
+                        f"{_ENTRY_LABELS[k]} is not real-valued {where} "
+                        f"(value {v})")
+            w = _density_matrix(*piece.values[3:])
+            bad = psd_violation(w)
+            if bad is not None:
+                raise ValidationError(f"w density {where}: {bad}")
+            w_on_constant_pieces.append(w)
+
+        grid = [x for x in self._sample_grid() if not self._piece_at(x).constant]
         for name, measure in (("q", self.q), ("w", self.w)):
             for entry, expr in (("d11", measure.d11), ("d22", measure.d22)):
                 for x in grid:
@@ -273,7 +380,7 @@ class Problem:
                         v = eval_expr(expr, x)
                     except ExpressionDomainError as exc:
                         raise ValidationError(f"{name}.{entry}: {exc}") from None
-                    if abs(v.imag) > 1e-9 * (1.0 + abs(v)):
+                    if _not_real(v):
                         raise ValidationError(
                             f"{name}.{entry} is not real-valued at x={x:.6g} "
                             f"(value {v})"
@@ -293,14 +400,17 @@ class Problem:
             if bad is not None:
                 raise ValidationError(f"w.atoms[{k}] at x={a.position}: {bad}")
 
-        if not self.w.is_nonzero(grid):
+        if not (any(np.any(w) for w in w_on_constant_pieces)
+                or self.w.is_nonzero(grid)):
             raise ValidationError("w is identically zero")
 
         c0 = min(1.0, self.b / 2.0)
-        for name, measure in (("q", self.q), ("w", self.w)):
-            for entry, fn in (("d11", measure._f11), ("d12", measure._f12),
-                              ("d22", measure._f22)):
-                self._check_integrable_near_zero(f"{name}.{entry}", fn, c0)
+        functions = (self.q._f11, self.q._f12, self.q._f22,
+                     self.w._f11, self.w._f12, self.w._f22)
+        for label, fn, value in zip(_ENTRY_LABELS, functions,
+                                    self.pieces[0].values):
+            if value is None:
+                self._check_integrable_near_zero(label, fn, c0)
 
     @staticmethod
     def _check_integrable_near_zero(label, fn, c0):
@@ -355,26 +465,22 @@ class Problem:
 
     def system_matrix(self, lam):
         """Return A(x) with u' = A u between atoms, as a flat 2x2 tuple
-        (a11, a12, a21, a22).
+        (a11, a12, a21, a22)."""
+        return _system(complex(lam), self.q._ftuple, self.w._ftuple)
 
-        The system J u' + q u = lam w u rewrites as u' = J (q - lam w) u
-        on atom-free intervals because J^{-1} = -J exactly.
-        """
+    def constant_system(self, lam, x0, x1):
+        """The constant A of system_matrix on the open interval between
+        x0 and x1 when one piece holds it and A is constant there (q is,
+        and w is or lam = 0), else None."""
         lam = complex(lam)
-        qf = self.q._ftuple
-        wf = self.w._ftuple
-
-        def entries(x):
-            q11, q12, q22 = qf(x)
-            w11, w12, w22 = wf(x)
-            m11 = complex(q11).real - lam * complex(w11).real
-            m12 = complex(q12) - lam * complex(w12)
-            m21 = complex(q12).conjugate() - lam * complex(w12).conjugate()
-            m22 = complex(q22).real - lam * complex(w22).real
-            # J @ M with J = [[0, -1], [1, 0]]
-            return (-m21, -m22, m11, m12)
-
-        return entries
+        lo, hi = (x0, x1) if x0 <= x1 else (x1, x0)
+        piece = self._piece_at(lo)
+        q, w = piece.values[:3], piece.values[3:]
+        if lam == 0:
+            w = (0, 0, 0)   # w does not enter A
+        if hi > piece.hi or None in q + w:
+            return None
+        return _system(lam, lambda x: q, lambda x: w)(lo)
 
     def w_mass(self, c) -> float:
         """Total-variation scale of w on (0, c); memoized."""

@@ -141,9 +141,8 @@ def fixed_step_propagate(problem: Problem, lam, c,
     crossings = []
     lo = bounds[0]
     for hi in bounds[1:]:
-        value_lo = _state_matrix(state)
         state = _march(entries, state, lo, hi, config.step, config.method)
-        segments.append(_Segment(lo, hi, None, value_lo, False))
+        segments.append(_Segment(lo, hi, None))
         if hi in atom_set:
             jp = jump_matrices(problem.delta_q(hi), problem.delta_w(hi),
                                lam, hi)

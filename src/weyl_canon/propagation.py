@@ -1,8 +1,10 @@
 """Initial value problems for J u' + q u = lam w u with atoms.
 
-Between atoms the system is a smooth 2x2 linear ODE, u' = J(q - lam w)u,
-integrated adaptively (DOP853, rtol 1e-10 / atol 1e-12 so that 1e-6 to
-1e-8 acceptance tolerances have headroom).  At an atom the one-sided
+Between atoms the system is a smooth 2x2 linear ODE, u' = J(q - lam w)u.
+On a piece where both densities are constant (read from the expression
+AST by ``Problem.pieces``) the solution is exp((x - lo) A) u(lo) in 2x2
+closed form; elsewhere it is integrated adaptively (DOP853, tolerances
+below).  At an atom the one-sided
 limits are coupled by B+ u+ = B- u- with
 
     B+- (x, lam) = J +- (Delta_q(x) - lam Delta_w(x)) / 2,
@@ -20,6 +22,7 @@ single propagation is inherently sequential in x.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -284,22 +287,68 @@ def _make_rhs(problem: Problem, lam, columns: int, x0, x1):
     return rhs
 
 
+def _constant_flow(a, h):
+    """exp(h A), flat like A = (a11, a12, a21, a22), for a constant A.
+
+    With m = tr A / 2, N = A - m I and s^2 = -det N, Cayley-Hamilton gives
+    N^2 = s^2 I, so exp(h A) = e^{hm} (cosh(z) I + h sinhc(z) N), z = hs.
+    Both functions are even in z, so the branch of s does not matter.
+    For |z| < 0.1 they are summed as series (truncation below 3e-17), which
+    keeps nilpotent N (s = 0) exact; beyond, e^{hm +- z} are formed
+    directly, which overflows only when exp(h A) itself does.
+    """
+    a11, a12, a21, a22 = a
+    m = 0.5 * (a11 + a22)
+    n11 = 0.5 * (a11 - a22)
+    z = h * cmath.sqrt(n11 * n11 + a12 * a21)
+    try:
+        if abs(z) < 0.1:
+            e = cmath.exp(h * m)
+            z2 = z * z
+            ch = e * (1 + z2 / 2 * (1 + z2 / 12 * (1 + z2 / 30 * (1 + z2 / 56))))
+            sh = e * h * (1 + z2 / 6 * (1 + z2 / 20 * (1 + z2 / 42 * (1 + z2 / 72))))
+        else:
+            ep = cmath.exp(h * m + z)
+            em = cmath.exp(h * m - z)
+            ch = 0.5 * (ep + em)
+            sh = h * (ep - em) / (2 * z)
+    except OverflowError:
+        raise IntegrationFailureError(
+            f"the solution overflows over a constant piece of length {abs(h)}"
+        ) from None
+    return ch + sh * n11, sh * a12, sh * a21, ch - sh * n11
+
+
 def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval=None):
-    """Integrate the flat complex state from x0 to x1 (either direction,
-    no discontinuities strictly inside).  Returns (values at t_eval,
-    dense interpolant)."""
-    columns = len(y0_complex) // 2
-    rhs = _make_rhs(problem, lam, columns, x0, x1)
-    y0 = np.ascontiguousarray(y0_complex, dtype=complex).view(np.float64)
-    sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853",
+    """Propagate the flat complex state (the two components of each
+    column in turn) from x0 to x1, in either direction, with no
+    discontinuity strictly inside.  Returns (states at t_eval, dense
+    callable x -> state): exact on a constant piece, DOP853 elsewhere."""
+    y0 = np.ascontiguousarray(y0_complex, dtype=complex)
+    a = problem.constant_system(lam, x0, x1)
+    if a is not None:
+        columns = [(complex(u), complex(v)) for u, v in y0.reshape(-1, 2)]
+
+        def exact(x):
+            p11, p12, p21, p22 = _constant_flow(a, float(x) - x0)
+            return np.array([c for u, v in columns
+                             for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
+
+        values = None if t_eval is None else np.array([exact(x) for x in t_eval])
+        return values, exact
+
+    rhs = _make_rhs(problem, lam, len(y0) // 2, x0, x1)
+    sol = solve_ivp(rhs, (x0, x1), y0.view(np.float64), method="DOP853",
                     rtol=RTOL, atol=ATOL, t_eval=t_eval, dense_output=True)
     if not sol.success:
-        reached = sol.t[-1] if sol.t.size else x0
+        # with t_eval, sol.t is an empty list when no requested point was reached
+        reached = sol.t[-1] if len(sol.t) else x0
         raise IntegrationFailureError(
             f"integration from {x0} to {x1} failed near x={reached}: "
             f"{sol.message}", location=reached)
     values = sol.y.T.copy().view(np.complex128) if t_eval is not None else None
-    return values, sol.sol
+    interpolant = sol.sol
+    return values, lambda x: np.ascontiguousarray(interpolant(x)).view(np.complex128)
 
 
 def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
@@ -315,7 +364,7 @@ def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
     for hi in cuts + [x1]:
         if hi != lo:
             _, dense = _solve_segment(problem, lam, lo, hi, u)
-            u = dense(hi).copy().view(np.complex128)
+            u = dense(hi)
         lo = hi
     return u
 
@@ -335,9 +384,7 @@ class AtomCrossing(NamedTuple):
 class _Segment(NamedTuple):
     lo: float
     hi: float
-    dense: object          # OdeSolution, or None when not available
-    value_lo: np.ndarray
-    constant: bool = False  # True: U is exactly value_lo on [lo, hi]
+    dense: object   # callable x -> U(x) flattened by columns, or None
 
 
 class SampledSolution:
@@ -402,10 +449,7 @@ class FundamentalMatrix:
     def _eval_dense(self, x):
         seg = self._segment_for(x)
         if seg.dense is not None:
-            flat = np.ascontiguousarray(seg.dense(x)).view(np.complex128)
-            return flat.reshape(2, 2, order="F")
-        if seg.constant:
-            return seg.value_lo.copy()
+            return seg.dense(x).reshape(2, 2, order="F")
         k = np.searchsorted(self.xs, x)
         for j in (k - 1, k, k + 1):
             if 0 <= j < self.xs.size and abs(self.xs[j] - x) <= 1e-12 * max(1.0, abs(x)):
@@ -498,22 +542,14 @@ def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix
     samples[0.0] = U.copy()
     atom_set = set(atoms)
     for lo, hi in zip(bounds, bounds[1:]):
-        t_eval = [x for x in xs_sorted if lo < x < hi]
-        value_lo = U.copy()
-        constant = _is_zero_density_segment(problem, lam, lo, hi)
-        if constant:
-            dense = None
-            for x in t_eval:
-                samples[x] = U.copy()
-        else:
-            t_req = np.array([lo] + t_eval + [hi])
-            values, dense = _solve_segment(problem, lam, lo, hi,
-                                           U.flatten(order="F"), t_eval=t_req)
-            for x, row in zip(t_req, values):
-                if x in want:
-                    samples[x] = row.reshape(2, 2, order="F")
-            U = values[-1].reshape(2, 2, order="F")
-        segments.append(_Segment(lo, hi, dense, value_lo, constant))
+        t_req = np.array([lo] + [x for x in xs_sorted if lo < x < hi] + [hi])
+        values, dense = _solve_segment(problem, lam, lo, hi,
+                                       U.flatten(order="F"), t_eval=t_req)
+        for x, row in zip(t_req, values):
+            if x in want:
+                samples[x] = row.reshape(2, 2, order="F")
+        U = values[-1].reshape(2, 2, order="F")
+        segments.append(_Segment(lo, hi, dense))
         if hi in atom_set:
             jp = jump_matrices(problem.delta_q(hi), problem.delta_w(hi), lam, hi)
             left = U.copy()
@@ -532,17 +568,6 @@ def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix
     values = np.array([samples[x] for x in xs])
     return FundamentalMatrix(problem, lam, c, xs, values, crossings, segments,
                              lambda_report=report if report.in_lambda_set else None)
-
-
-def _is_zero_density_segment(problem, lam, lo, hi):
-    """Cheap exactness shortcut: if both densities vanish on the segment,
-    the solution is constant there (u' = 0)."""
-    probes = (lo + 0.25 * (hi - lo), 0.5 * (lo + hi), lo + 0.75 * (hi - lo))
-    entries = problem.system_matrix(lam)
-    try:
-        return all(all(abs(v) == 0.0 for v in entries(t)) for t in probes)
-    except Exception:
-        return False
 
 
 def eta_solution(problem: Problem, lam, c, beta) -> np.ndarray:

@@ -190,6 +190,18 @@ def test_classify_strict_inconclusive_exit_5(runner):
     assert result.exit_code == 5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_classify_integration_failure_exit_4(runner, tmp_path):
+    doc = {"b": 4, "alpha": 0, "q": {},
+           "w": {"d11": "x^(-1/2)", "d22": "x^(-1/2)"}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["classify", "--problem", str(path),
+                             "--lambda", "i"])
+    assert result.exit_code == 4
+    assert "integration" in result.output
+
+
 def test_classify_rejects_csv_format(runner):
     result = invoke(runner, ["classify", "--example", "free_identity",
                              "--lambda", "i", "--format", "csv"])

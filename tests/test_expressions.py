@@ -17,7 +17,10 @@ from weyl_canon.expressions import (
     Variable,
     compile_expr,
     eval_expr,
+    fold_steps,
+    has_variable,
     parse_expr,
+    step_roots,
     to_source,
 )
 
@@ -140,3 +143,43 @@ def test_compiled_matches_eval(rng):
 def test_power_of_complex_base():
     assert ev("(1+i)^2") == pytest.approx(2j)
     assert ev("e^x", 1.0) == pytest.approx(math.e)
+
+
+# -- piece structure ----------------------------------------------------------
+
+def test_step_roots_of_real_affine_arguments():
+    assert step_roots(parse_expr("2+3*step(x-1)-step(0.5*(x-3))")) == (1.0, 3.0)
+    assert step_roots(parse_expr("step(2-4*x)+x*step(x/4+1)")) == (-4.0, 0.5)
+    # not affine, not real, without x or with slope 0: no root
+    text = "step(x^2-1)+step(i*x)+step(2)+step(sin(x))+step(0*x+1)"
+    assert step_roots(parse_expr(text)) == ()
+
+
+def test_fold_steps_constant_between_roots():
+    expr = parse_expr("2+3*step(x-1)-step(0.5*(x-3))")
+    for (lo, hi), want in (((0.0, 1.0), 2.0), ((1.0, 3.0), 5.0),
+                           ((3.0, math.inf), 4.0)):
+        folded = fold_steps(expr, lo, hi)
+        assert not has_variable(folded)
+        assert eval_expr(folded, 0.0) == want
+    # a root inside the interval keeps that step
+    assert has_variable(fold_steps(expr, 0.5, 2.0))
+
+
+def test_fold_steps_keeps_other_steps_and_folds_inner_first():
+    assert has_variable(fold_steps(parse_expr("step(x^2-4)"), 0.0, 1.0))
+    assert has_variable(fold_steps(parse_expr("x*step(x-2)"), 0.0, 1.0))
+    nested = fold_steps(parse_expr("step(step(x-1)-0.5)"), 0.0, 1.0)
+    assert not has_variable(nested) and eval_expr(nested, 0.0) == 0.0
+    zero_slope = fold_steps(parse_expr("step(0*x)"), 0.0, 1.0)
+    assert eval_expr(zero_slope, 0.0) == 0.5
+
+
+def test_fold_steps_agrees_with_eval_inside_the_piece(rng):
+    expr = parse_expr("x*step(x-1.5)+exp(i*x)*step(2.5-x)-step(3*x-6)*step(x-4)")
+    cuts = (0.0,) + step_roots(expr) + (6.0,)
+    assert step_roots(expr) == (1.5, 2.0, 2.5, 4.0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        folded = fold_steps(expr, lo, hi)
+        for x in rng.uniform(lo, hi, size=5):
+            assert eval_expr(folded, x) == eval_expr(expr, x)

@@ -107,6 +107,37 @@ def test_integrability_check_near_zero():
                 CoefficientMeasure(d11="1", d22="1"))
 
 
+def test_step_roots_split_pieces_without_declared_breakpoints():
+    p = Problem(2.0, 0.0, CoefficientMeasure(d12="0.5*i*step(1.5-x)"),
+                CoefficientMeasure(d11="1+step(x-0.8)", d22="1"))
+    assert p.discontinuities == (0.8, 1.5)
+    assert [(piece.lo, piece.hi) for piece in p.pieces] == \
+        [(0.0, 0.8), (0.8, 1.5), (1.5, 2.0)]
+    assert all(piece.constant for piece in p.pieces)
+    assert p.pieces[1].values == (0, 0.5j, 0, 2, 0, 1)
+    assert p.pieces[2].values[1] == 0
+    # the found roots are not written back as declared breakpoints
+    assert "breakpoints" not in p.serialize()["w"]
+    x_dependent = Problem(2.0, 0.0, CoefficientMeasure(d11="x"),
+                          CoefficientMeasure(d11="1+step(x-1)", d22="1"))
+    assert [piece.values[3] for piece in x_dependent.pieces] == [1, 2]
+    assert not any(piece.constant for piece in x_dependent.pieces)
+
+
+def test_constant_pieces_validated_over_the_whole_interval():
+    # indefinite and non-real only beyond x = 50 on an infinite interval
+    with pytest.raises(ValidationError, match=r"w density on \(60, inf\)"):
+        Problem(math.inf, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1-2*step(x-60)", d22="1"))
+    with pytest.raises(ValidationError, match="q.d22 is not real-valued"):
+        Problem(math.inf, 0.0, CoefficientMeasure(d22="i*step(x-70)"),
+                CoefficientMeasure(d11="1", d22="1"))
+    # constant on (0, 1) but undefined there: log(-1) of a real argument
+    with pytest.raises(ValidationError, match=r"q.d11 on \(0, 1\)"):
+        Problem(2.0, 0.0, CoefficientMeasure(d11="log(step(x-1)-1)"),
+                CoefficientMeasure(d11="1", d22="1"), validate=False)
+
+
 def test_atom_positions_strictly_increasing():
     with pytest.raises(ValidationError, match="strictly increasing"):
         CoefficientMeasure(atoms=[(0.5, np.eye(2)), (0.5, np.eye(2))])

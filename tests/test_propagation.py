@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
+import weyl_canon.oracle as oracle_module
+import weyl_canon.propagation as propagation_module
 from weyl_canon.catalog import builtin_example
+from weyl_canon.classify import trace_disks
 from weyl_canon.errors import (
     BadPointError,
+    IntegrationFailureError,
     SingularBackwardJumpError,
     SingularForwardJumpError,
 )
 from weyl_canon.measures import CoefficientMeasure, Problem
+from weyl_canon.oracle import OracleConfig, compare_propagators, fixed_step_propagate
 from weyl_canon.propagation import (
     J,
     JumpDichotomy,
@@ -192,6 +197,112 @@ def test_evolve_rejects_interior_atom():
     p, _ = builtin_example("bad_point_minus")
     with pytest.raises(ValueError, match="atom"):
         evolve_ac(p, 1j, 0.5, 1.5, np.array([1.0, 0.0]))
+
+
+# -- exact steps on constant pieces ---------------------------------------------
+
+def _flat_matrix(a):
+    return np.array([[a[0], a[1]], [a[2], a[3]]], dtype=complex)
+
+
+def _half_s(a):
+    n11 = 0.5 * (a[0] - a[3])
+    return abs(cmath.sqrt(n11 * n11 + a[1] * a[2]))
+
+
+@pytest.mark.parametrize("name, a, hs", [
+    ("zero", (0j, 0j, 0j, 0j), None),
+    # q = 0, w = [[1, 0], [0, 0]]: A = -lam J w is nilpotent, s = 0 exactly
+    ("nilpotent", (0j, 0j, -(0.3 + 0.7j), 0j), None),
+    ("near-nilpotent", (0.2j, 1.0 + 0j, 1e-16 + 0j, 0.2j), 1e-8),
+    ("large", (0.3 + 0.1j, 2 - 1j, 8 + 0.5j, -0.1 + 0j), 30.0),
+    ("oscillating", (1j, 3 + 0j, -3 + 0j, 1j), 30.0),
+])
+def test_constant_flow_matches_matrix_exponential(name, a, hs):
+    from scipy.linalg import expm
+
+    h = 2.5 if hs is None else hs / _half_s(a)
+    for step in (h, -h):
+        got = np.reshape(propagation_module._constant_flow(a, step), (2, 2))
+        assert rel_err(got, expm(step * _flat_matrix(a))) < 1e-13, name
+        if name in ("zero", "nilpotent"):
+            assert np.array_equal(got, np.eye(2) + step * _flat_matrix(a))
+
+
+def test_polynomial_density_with_zeros_at_the_probe_points_is_propagated():
+    # d vanishes at 1/4, 1/2 and 3/4 of (0, 1) but not in between
+    d = "1000*(x-1/4)^2*(x-1/2)^2*(x-3/4)^2"
+    p = Problem(2.0, 0.0, CoefficientMeasure(), CoefficientMeasure(d11=d, d22=d))
+    got = fundamental_matrix(p, 1j, 1.0).at(1.0)
+    want = fixed_step_propagate(p, 1j, 1.0, OracleConfig(step=1e-3)).at(1.0)
+    assert rel_err(got, want) < 1e-9
+    assert np.allclose(got, [[1.537, 1.168j], [-1.168j, 1.537]], atol=1e-3)
+
+
+def test_step_density_without_declared_breakpoint_is_propagated():
+    p = Problem(2.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="step(x-0.8)", d22="step(x-0.8)"))
+    got = fundamental_matrix(p, 1j, 1.0).at(1.0)
+    want = fixed_step_propagate(p, 1j, 1.0, OracleConfig(step=1e-3)).at(1.0)
+    assert rel_err(got, want) < 1e-9
+    assert np.allclose(got, [[1.020, 0.201j], [-0.201j, 1.020]], atol=1e-3)
+
+
+def test_dense_values_between_samples_match_oracle(rng):
+    for _ in range(4):
+        p = random_piecewise_problem(rng)
+        lam = pick_lambda_outside_bad_set(p, rng)
+        fm = fundamental_matrix(p, lam, 4.3, grid=[1.0, 2.0, 3.0])
+        xs = [x for x in np.linspace(0.1, 4.2, 9) if x not in p.atom_positions]
+        oracle = fixed_step_propagate(p, lam, 4.3, OracleConfig(step=1e-3),
+                                      grid=xs)
+        for x in xs:
+            assert rel_err(fm.at(x), oracle.at(x)) < 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solver_failure_raises_integration_failure():
+    # integrable near 0, so validation accepts it, but DOP853 cannot start
+    p = Problem(4.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="x^(-1/2)", d22="x^(-1/2)"))
+    with pytest.raises(IntegrationFailureError):
+        fundamental_matrix(p, 1j, 2.0)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_constant_pieces_never_call_the_ode_solver(rng, monkeypatch):
+    solves = _count_calls(monkeypatch, propagation_module, "solve_ivp")
+    p = random_piecewise_problem(rng)
+    lam = pick_lambda_outside_bad_set(p, rng)
+    trace = trace_disks(p, lam, np.geomspace(0.25, 5.0, 12))
+    assert len(trace.points) > 0
+    assert solves == []
+
+    # q = 0 is constant, and at lam = 0 the x-dependent w does not enter A
+    smooth, _ = builtin_example("lesch_malamud", a=1.0)
+    kernel_gram(smooth, 2.0)
+    assert solves == []
+    fundamental_matrix(smooth, 1j, 1.0)
+    assert len(solves) >= 1
+
+
+def test_oracle_marches_on_constant_pieces(monkeypatch):
+    marches = _count_calls(monkeypatch, oracle_module, "_march")
+    p, _ = builtin_example("free_identity")
+    report = compare_propagators(p, 1j, 1.0, config=OracleConfig(step=1e-3))
+    assert len(marches) >= 8
+    assert report.max_relative_deviation < 1e-10
 
 
 # -- fundamental matrices ---------------------------------------------------
