@@ -73,6 +73,7 @@ from .weyl import (
     TauSample,
     WeylDisk,
     WeylHalfPlane,
+    conjugate_fundamental,
     conjugate_solution,
     det_noise_ratio,
     m_alt,

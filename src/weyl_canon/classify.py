@@ -15,8 +15,11 @@ dichotomy: with d = dim of the zero-norm solution space,
 Asymmetric indices are only reported when the |tau| trends corroborate
 them (one tends to 0 and the conjugate one to infinity).
 
-All composition is over immutable traces; the lam and conj(lam) sweeps
-are independent and may run concurrently.
+Every trace propagates in the upper half plane only.  For real U(0)
+the Lagrange identity gives U(c, conj lam) = tau(c, conj lam)
+conj(U(c, lam)), so a trace below the real axis is read off the
+propagation at conj(lam) and a tau profile, and ``deficiency_indices``
+builds both of its traces from one propagation.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .propagation import bad_points, fundamental_matrix, kernel_gram
 from .weyl import (
     WeylDisk,
     WeylHalfPlane,
+    conjugate_fundamental,
     norm_lagrange,
     null_norm_tolerance,
     tau_profile,
@@ -182,14 +186,28 @@ class DiskTrace:
 
 def trace_disks(problem: Problem, lam, c_grid=None,
                 config=DEFAULT_CONFIG) -> DiskTrace:
-    """One propagation sweep, then Weyl set + norms + tau at every grid
-    point.  Requires Im lam != 0 and lam outside Lambda."""
-    lam = complex(lam)
-    if lam.imag == 0.0:
-        raise ValueError("trace_disks needs Im lam != 0")
-    report = bad_points(problem, lam)
-    if report.in_lambda_set:
-        raise BadPointError(report)
+    """Weyl set + norms + tau at every grid point.  Requires Im lam != 0
+    and lam outside Lambda.  One propagation sweep at lam, or at
+    conj(lam) when Im lam < 0: the entries there are
+    tau(c, lam) conj(U(c, conj lam)), with tau from the trace's own
+    profile."""
+    return _traces(problem, (complex(lam),), c_grid, config)[0]
+
+
+def _traces(problem, lams, c_grid, config):
+    """Disk traces at each of ``lams``, all equal to lam_up or to its
+    conjugate for one lam_up with Im lam_up > 0, from a single
+    propagation at lam_up.  Checks every lam against Lambda first;
+    conj(lam) lies in Lambda exactly when lam does, since
+    det B+-(conj lam) = conj det B-+(lam).  A trace stops where det U
+    falls below the float64 noise floor; that point does not depend on
+    the side, since the noise ratio is invariant under U -> t conj(U)."""
+    for lam in lams:
+        if lam.imag == 0.0:
+            raise ValueError("trace_disks needs Im lam != 0")
+        report = bad_points(problem, lam)
+        if report.in_lambda_set:
+            raise BadPointError(report)
 
     policy = "default"
     if c_grid is None:
@@ -200,26 +218,31 @@ def trace_disks(problem: Problem, lam, c_grid=None,
     if c_grid.size < 1 or np.any(np.diff(c_grid) <= 0):
         raise ValueError("c grid must be non-empty and strictly increasing")
 
-    fm = fundamental_matrix(problem, lam, float(c_grid[-1]), grid=c_grid)
-    taus = tau_profile(problem, lam, c_grid)
-    u0 = fm.at(0.0)
-    points = []
-    truncated_at = None
-    for c, ts in zip(c_grid, taus):
-        uc = fm.at(float(c))
-        n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
-        n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
-        try:
-            ws = weyl_set(fm, c, n_psi)
-        except DegenerateUError:
-            if not points:
-                raise
-            # det U left the double-precision envelope; later points
-            # carry no usable geometry, stop the trace here.
-            truncated_at = float(c)
-            break
-        points.append(TracePoint(float(c), ws, n_psi, n_phi, ts.value))
-    return DiskTrace(lam, tuple(points), policy, truncated_at)
+    lam_up = complex(lams[0].real, abs(lams[0].imag))
+    fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
+    traces = []
+    for lam in lams:
+        taus = tau_profile(problem, lam, c_grid)
+        fm = fm_up if lam == lam_up else conjugate_fundamental(fm_up, taus)
+        u0 = fm.at(0.0)
+        points = []
+        truncated_at = None
+        for c, ts in zip(c_grid, taus):
+            uc = fm.at(float(c))
+            n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
+            n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
+            try:
+                ws = weyl_set(fm, c, n_psi)
+            except DegenerateUError:
+                if not points:
+                    raise
+                # det U left the double-precision envelope; later points
+                # carry no usable geometry, stop the trace here.
+                truncated_at = float(c)
+                break
+            points.append(TracePoint(float(c), ws, n_psi, n_phi, ts.value))
+        traces.append(DiskTrace(lam, tuple(points), policy, truncated_at))
+    return traces
 
 
 # --------------------------------------------------------------------------
@@ -509,15 +532,15 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ValueError("deficiency indices need Im lam != 0")
-    lam_up = lam if lam.imag > 0 else np.conj(lam)
+    lam_up = lam if lam.imag > 0 else lam.conjugate()
 
     if c_grid is None:
         c_grid = default_c_grid(problem, config=config)
     defres = definiteness(problem, c_max=float(c_grid[-1]), config=config)
     d = defres.dim_null_space
 
-    trace_up = trace_disks(problem, lam_up, c_grid, config)
-    trace_dn = trace_disks(problem, complex(np.conj(lam_up)), c_grid, config)
+    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()),
+                                 c_grid, config)
     (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(
         problem, trace_up, config)
     (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(

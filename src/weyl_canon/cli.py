@@ -11,10 +11,8 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -78,24 +76,6 @@ def _emit(text, out):
         click.echo(text, nl=not text.endswith("\n"))
     else:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
-
-
-def _thread_count():
-    raw = os.environ.get("WEYL_CANON_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fail(code, message):
@@ -204,7 +184,7 @@ def disks(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
         p = _load_problem(problem, example)
         grid = _grid(p, c0, rho, count, cmax)
         lams = [parse_lambda(s) for s in lambdas]
-        traces = _map_ordered(lambda lam: trace_disks(p, lam, grid), lams)
+        traces = [trace_disks(p, lam, grid) for lam in lams]
         for lam, trace in zip(lams, traces):
             if trace.truncated_at is not None:
                 click.echo(f"note: trace for lambda={lam:g} truncated at "
@@ -264,10 +244,9 @@ def classify(problem, example, lambdas, c0, rho, count, cmax,
                      if v is not None}
         config = ClassifyConfig(**overrides) if overrides else None
         lams = [parse_lambda(s) for s in lambdas]
-        reports = _map_ordered(
-            lambda lam: deficiency_indices(
-                p, lam, c_grid=grid,
-                **({"config": config} if config else {})), lams)
+        reports = [deficiency_indices(
+            p, lam, c_grid=grid, **({"config": config} if config else {}))
+            for lam in lams]
         docs = [r.to_dict() for r in reports]
         _emit(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2), out)
         if strict:
@@ -293,7 +272,7 @@ def tau(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
         p = _load_problem(problem, example)
         grid = _grid(p, c0, rho, count, cmax)
         lams = [parse_lambda(s) for s in lambdas]
-        profiles = _map_ordered(lambda lam: tau_profile(p, lam, grid), lams)
+        profiles = [tau_profile(p, lam, grid) for lam in lams]
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)
@@ -336,8 +315,8 @@ def oracle_compare(problem, example, lambdas, cmax, step, method, fmt, out):
         p = _load_problem(problem, example)
         config = OracleConfig(step=step, method=method)
         lams = [parse_lambda(s) for s in lambdas]
-        reports = _map_ordered(
-            lambda lam: compare_propagators(p, lam, cmax, config=config), lams)
+        reports = [compare_propagators(p, lam, cmax, config=config)
+                   for lam in lams]
         docs = [r.to_dict() for r in reports]
         _emit(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2), out)
         worst = max(r.max_relative_deviation for r in reports)

@@ -376,16 +376,44 @@ def step_roots(expr: Expr) -> tuple:
     return tuple(sorted({-b / a for a, b in lines if a != 0.0}))
 
 
+def _defined_everywhere(node, real=False) -> bool:
+    """True when the AST is built from x, finite numbers, + - * and steps
+    of real such terms only, so that it evaluates without a domain error
+    at every real x.  ``real`` also excludes non-real numbers."""
+    if isinstance(node, Variable):
+        return True
+    if isinstance(node, Literal):
+        return cmath.isfinite(node.value) and not (real and node.value.imag)
+    if isinstance(node, Constant):
+        return not (real and node.name == "i")
+    if isinstance(node, Call):
+        return node.func == "step" and _defined_everywhere(node.arg, True)
+    if isinstance(node, BinOp) and node.op not in "+-*":
+        return False
+    return all(_defined_everywhere(child, real) for child in _children(node))
+
+
+def _is_zero(node) -> bool:
+    return isinstance(node, Literal) and node.value == 0
+
+
 def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:
     """The AST restricted to the open interval (lo, hi): every
     ``step(a*x + b)`` with a real affine argument that keeps one sign on
     (lo, hi) becomes the literal 0 or 1; any other step stays.  Inner
-    steps fold first, so an argument may become affine by folding."""
+    steps fold first, so an argument may become affine by folding.  A
+    product with a literal 0 factor becomes 0 when the other factor is
+    defined at every real x, so no domain error (``0*log(x-5)``) is
+    folded away."""
     if isinstance(expr, Unary):
         return Unary(expr.op, fold_steps(expr.operand, lo, hi))
     if isinstance(expr, BinOp):
-        return BinOp(expr.op, fold_steps(expr.left, lo, hi),
-                     fold_steps(expr.right, lo, hi))
+        left = fold_steps(expr.left, lo, hi)
+        right = fold_steps(expr.right, lo, hi)
+        if expr.op == "*" and ((_is_zero(left) and _defined_everywhere(right))
+                               or (_is_zero(right) and _defined_everywhere(left))):
+            return Literal(0j)
+        return BinOp(expr.op, left, right)
     if not isinstance(expr, Call):
         return expr
     node = Call(expr.func, fold_steps(expr.arg, lo, hi))

@@ -483,8 +483,23 @@ class Problem:
         return _system(lam, lambda x: q, lambda x: w)(lo)
 
     def w_mass(self, c) -> float:
-        """Total-variation scale of w on (0, c); memoized."""
-        return self.w.mass(0.0, float(c))
+        """Frobenius total-variation scale of w on (0, c), summed over the
+        pieces: h |W|_F exactly where w is constant, ``w.mass`` (memoized
+        quadrature) on the others, plus |Delta_w|_F per atom."""
+        c = float(c)
+        total = sum(float(np.linalg.norm(a.matrix))
+                    for a in self.w.atoms if a.position < c)
+        for piece in self.pieces:
+            if piece.lo >= c:
+                break
+            hi = min(piece.hi, c)
+            w11, w12, w22 = piece.values[3:]
+            if None in (w11, w12, w22):
+                total += self.w.mass(piece.lo, hi)
+            else:
+                total += (hi - piece.lo) * math.sqrt(
+                    w11.real ** 2 + 2 * abs(w12) ** 2 + w22.real ** 2)
+        return total
 
     def segment_bounds(self, x0, x1):
         """Discontinuity positions strictly inside (x0, x1), sorted in

@@ -418,7 +418,9 @@ class FundamentalMatrix:
 
     Samples are kept at the requested grid (continuity points); the
     one-sided and balanced values at every crossed atom are stored in
-    ``crossings``.  Columns: phi = U[:, 0], psi = U[:, 1].
+    ``crossings``.  Columns: phi = U[:, 0], psi = U[:, 1].  A matrix
+    without segments (``weyl.conjugate_fundamental``) evaluates at its
+    samples and crossings only.
     """
 
     def __init__(self, problem, lam, c, xs, values, crossings, segments,
@@ -447,8 +449,8 @@ class FundamentalMatrix:
         return self._segments[k]
 
     def _eval_dense(self, x):
-        seg = self._segment_for(x)
-        if seg.dense is not None:
+        seg = self._segment_for(x) if self._segments else None
+        if seg is not None and seg.dense is not None:
             return seg.dense(x).reshape(2, 2, order="F")
         k = np.searchsorted(self.xs, x)
         for j in (k - 1, k, k + 1):

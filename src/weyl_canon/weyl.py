@@ -35,6 +35,7 @@ from .errors import (
 )
 from .measures import Problem
 from .propagation import (
+    AtomCrossing,
     FundamentalMatrix,
     J,
     SampledSolution,
@@ -60,6 +61,7 @@ __all__ = [
     "radius_identity_residual",
     "m_from_boundary",
     "m_alt",
+    "conjugate_fundamental",
     "ConjugateSolution",
     "conjugate_solution",
 ]
@@ -435,13 +437,51 @@ class ConjugateSolution:
         return self.values[k]
 
 
+def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
+    """U(., conj lam) from U(., lam) without a second propagation.
+
+    For real U(0) the Lagrange identity U(x, conj lam)* J U(x, lam) = J
+    gives U(x, conj lam) = tau(x, conj lam) conj(U(x, lam)).  ``taus`` is
+    tau_profile(problem, conj lam, xs) over sorted points of [0, fm.c]:
+    each continuity point becomes a stored sample, and each atom crossed
+    by fm (where the profile holds the left limit of tau) becomes a
+    crossing with its one-sided and balanced values.  The result has no
+    dense interpolant: it evaluates at 0 and at these points only.
+    """
+    problem = fm.problem
+    lam_c = complex(fm.lam).conjugate()
+    report = bad_points(problem, lam_c)
+    crossed = {cr.position: cr for cr in fm.crossings}
+    xs, values, crossings = [0.0], [np.conj(fm.at(0.0))], []
+    for t in taus:
+        cr = crossed.get(t.x)
+        if cr is None:
+            if t.x > 0.0:
+                xs.append(t.x)
+                values.append(t.value * np.conj(fm.at(t.x)))
+            continue
+        jp_c = jump_matrices(problem.delta_q(t.x), problem.delta_w(t.x),
+                             lam_c, t.x)
+        if jp_c.plus_singular:
+            raise BadPointError(report)
+        left = t.value * np.conj(cr.left)
+        right = t.value * jp_c.det_minus / jp_c.det_plus * np.conj(cr.right)
+        crossings.append(AtomCrossing(t.x, jp_c, left, right,
+                                      0.5 * (left + right)))
+    return FundamentalMatrix(problem, lam_c, fm.c, xs, values, crossings, (),
+                             lambda_report=report if report.in_lambda_set
+                             else None)
+
+
 def conjugate_solution(problem: Problem, sol: SampledSolution,
                        xs=None) -> ConjugateSolution:
     """Transform a solution of the lam equation into one of the conj(lam)
     equation via v = tau(., conj lam) conj(u).
 
     Needs both lam and conj(lam) outside Lambda (the tau factors divide
-    by det B+ at conj lam, which equals conj(det B-) at lam).
+    by det B+ at conj lam, which equals conj(det B-) at lam).  One tau
+    profile over the sample points and the crossed atoms serves all
+    values.
     """
     fm = sol.fm
     lam_c = np.conj(fm.lam)
@@ -452,21 +492,10 @@ def conjugate_solution(problem: Problem, sol: SampledSolution,
     if xs is None:
         xs = fm.xs
     xs = np.asarray(xs, dtype=float)
-    taus = tau_profile(problem, lam_c, list(xs))
-    values = np.array([t.value * np.conj(sol.at(x))
-                       for x, t in zip(xs, taus)])
-
-    atom_values = []
-    for crossing in fm.crossings:
-        position = crossing.position
-        t_left = tau(problem, lam_c, position).value
-        jp_c = jump_matrices(problem.delta_q(position),
-                             problem.delta_w(position), lam_c, position)
-        if jp_c.plus_singular:
-            raise BadPointError(bad_points(problem, lam_c))
-        t_right = t_left * jp_c.det_minus / jp_c.det_plus
-        v_minus = t_left * np.conj(sol.left_at(position))
-        v_plus = t_right * np.conj(sol.right_at(position))
-        atom_values.append((position, v_minus, v_plus,
-                            0.5 * (v_minus + v_plus)))
-    return ConjugateSolution(lam_c, xs, values, tuple(atom_values))
+    points = sorted(set(xs.tolist()) | {cr.position for cr in fm.crossings})
+    conj_fm = conjugate_fundamental(fm, tau_profile(problem, lam_c, points))
+    coeff = np.conj(sol.coeff)
+    values = np.array([conj_fm.at(x) @ coeff for x in xs])
+    atom_values = tuple((cr.position, cr.left @ coeff, cr.right @ coeff,
+                         cr.balanced @ coeff) for cr in conj_fm.crossings)
+    return ConjugateSolution(lam_c, xs, values, atom_values)

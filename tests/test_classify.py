@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from weyl_canon.catalog import builtin_example
+import weyl_canon.classify
+import weyl_canon.propagation
 from weyl_canon.classify import (
     ClassifyConfig,
     all_solutions_l2,
@@ -18,7 +20,7 @@ from weyl_canon.measures import CoefficientMeasure, Problem
 from weyl_canon.propagation import fundamental_matrix
 from weyl_canon.weyl import WeylDisk, norm_lagrange
 
-from conftest import pick_lambda_outside_bad_set, random_piecewise_problem
+from conftest import pick_lambda_outside_bad_set, random_piecewise_problem, rel_err
 
 
 def halfplane_problem(w22="1/((1+x)^2)"):
@@ -356,3 +358,78 @@ def test_deficiency_indefinite_asymmetric_case():
     rep = deficiency_indices(p, 1j)
     assert (rep.n_plus, rep.n_minus) == (1, 0)
     assert {rep.tau_trend, rep.tau_trend_conjugate} == {"toZero", "toInfinity"}
+
+
+# -- the conjugate side from one upper sweep ---------------------------------
+
+def _assert_entries_match_direct_solve(problem, lam, c_grid=None, rtol=1e-9):
+    """The lower trace, read off the conj(lam) propagation, against an
+    independent propagation at lam itself, entry by entry."""
+    trace = trace_disks(problem, lam, c_grid)
+    direct = fundamental_matrix(problem, lam, float(trace.cs[-1]),
+                                grid=trace.cs)
+    for pt in trace.points:
+        for got, want in zip(pt.wset.entries, direct.entries(pt.c)):
+            assert abs(got - want) <= rtol * abs(want), (lam, pt.c)
+    return trace
+
+
+def test_lower_trace_matches_direct_solve_on_random_problems():
+    # the seeded problems and lambda of acceptance criterion 7
+    rng = np.random.default_rng(701)
+    checked = 0
+    for k in range(50):
+        problem = random_piecewise_problem(rng, max_atoms=3)
+        lam = pick_lambda_outside_bad_set(problem, rng)
+        c = float(rng.integers(16, 20) if k % 10 == 0
+                  else rng.integers(2, 10)) * 0.25 + 0.11
+        if not problem.atom_positions:
+            continue
+        grid = [c / 3.0, 2.0 * c / 3.0, c]
+        trace = _assert_entries_match_direct_solve(
+            problem, complex(lam.real, -abs(lam.imag)), grid)
+        assert len(trace.points) == 3
+        checked += 1
+    assert checked >= 30
+
+
+def test_lower_trace_matches_direct_solve_on_lesch_malamud():
+    p, _ = builtin_example("lesch_malamud", a=1.0)
+    for lam in (-1j, -2j):
+        trace = _assert_entries_match_direct_solve(p, lam)
+        assert trace.truncated_at == trace_disks(p, -lam).truncated_at
+
+
+def test_deficiency_indices_propagates_only_upper_and_at_zero(monkeypatch):
+    seen = []
+    original = weyl_canon.propagation.fundamental_matrix
+
+    def recording(problem, lam, c, grid=None):
+        seen.append(complex(lam))
+        return original(problem, lam, c, grid=grid)
+
+    monkeypatch.setattr(weyl_canon.propagation, "fundamental_matrix", recording)
+    monkeypatch.setattr(weyl_canon.classify, "fundamental_matrix", recording)
+    rng = np.random.default_rng(17)
+    problems = [builtin_example("lesch_malamud", a=1.0)[0],
+                random_piecewise_problem(rng, max_atoms=3)]
+    for p in problems:
+        for lam in (1j, -0.5 - 1j):
+            seen.clear()
+            deficiency_indices(p, lam)
+            assert sorted(seen, key=lambda z: z.imag) == \
+                [0j, complex(lam.real, abs(lam.imag))]
+            seen.clear()
+            trace_disks(p, lam)
+            assert seen == [complex(lam.real, abs(lam.imag))]
+
+
+def test_bad_lambda_refused_on_both_sides():
+    for name in ("bad_point_minus", "bad_point_plus"):
+        p, rec = builtin_example(name)
+        bad = rec.expected["bad_lambda"]
+        for lam in (bad, bad.conjugate()):
+            with pytest.raises(BadPointError):
+                trace_disks(p, lam)
+            with pytest.raises(BadPointError):
+                deficiency_indices(p, lam)

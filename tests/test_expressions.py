@@ -168,11 +168,30 @@ def test_fold_steps_constant_between_roots():
 
 def test_fold_steps_keeps_other_steps_and_folds_inner_first():
     assert has_variable(fold_steps(parse_expr("step(x^2-4)"), 0.0, 1.0))
-    assert has_variable(fold_steps(parse_expr("x*step(x-2)"), 0.0, 1.0))
+    # the step folds to 0, the x outside it stays (x*step(x-2) folds to 0
+    # as a whole: see test_fold_steps_zero_products)
+    assert has_variable(fold_steps(parse_expr("x+step(x-2)"), 0.0, 1.0))
     nested = fold_steps(parse_expr("step(step(x-1)-0.5)"), 0.0, 1.0)
     assert not has_variable(nested) and eval_expr(nested, 0.0) == 0.0
     zero_slope = fold_steps(parse_expr("step(0*x)"), 0.0, 1.0)
     assert eval_expr(zero_slope, 0.0) == 0.5
+
+
+def test_fold_steps_zero_products():
+    # x*step(x-1) is 0 on (0, 1): a constant piece
+    folded = fold_steps(parse_expr("x*step(x-1)"), 0.0, 1.0)
+    assert not has_variable(folded) and eval_expr(folded, 0.0) == 0.0
+    assert has_variable(fold_steps(parse_expr("x*step(x-1)"), 1.0, 2.0))
+    folded = fold_steps(parse_expr("1-2*step(x-60)*(1+0*x)"), 0.0, 60.0)
+    assert not has_variable(folded) and eval_expr(folded, 0.0) == 1.0
+    folded = fold_steps(parse_expr("(x-pi*step(x+1)+0*step(3-x))*step(x-5)"),
+                        0.0, 1.0)
+    assert not has_variable(folded)
+    # a factor that may raise a domain error is never folded away
+    for text in ("0*log(x-5)", "sqrt(x)*0", "0*step(i*x)", "0*x^2", "0*(1/x)"):
+        assert has_variable(fold_steps(parse_expr(text), 0.0, 1.0)), text
+    with pytest.raises(ExpressionDomainError):
+        eval_expr(fold_steps(parse_expr("0*log(x-5)"), 0.0, 1.0), 0.5)
 
 
 def test_fold_steps_agrees_with_eval_inside_the_piece(rng):

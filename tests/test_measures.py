@@ -200,6 +200,35 @@ def test_sl_output_always_validates(rng):
         assert p.b == 4.0
 
 
+def test_zero_products_fold_into_constant_pieces():
+    p = Problem(2.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+x*step(x-1)", d22="1"))
+    assert p.pieces[0].values[3:] == (1, 0, 1) and p.pieces[0].constant
+    assert not p.pieces[1].constant
+    # indefinite only beyond x = 50, behind a factor that is 1 there
+    with pytest.raises(ValidationError, match=r"w density on \(60, inf\)"):
+        Problem(math.inf, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1-2*step(x-60)*(1+0*x)", d22="1"))
+
+
+def test_w_mass_closed_form_at_undeclared_step():
+    # |W|_F = sqrt(2) on (0, 0.3) and sqrt((1+x)^2 + 1) beyond, where
+    # step(x-0.3) jumps without a declared breakpoint; one w atom at 2.75
+    p = Problem(3.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+x*step(x-0.3)", d22="1",
+                                   atoms=[(2.75, np.diag([0.6, 0.8]))]))
+    assert p.w.breakpoints == () and p.discontinuities == (0.3, 2.75)
+
+    def antiderivative(u):   # of sqrt(u^2 + 1)
+        return 0.5 * (u * math.sqrt(u * u + 1.0) + math.asinh(u))
+
+    for c in (0.2, 0.3, 0.7, 2.5, 2.9):
+        want = math.sqrt(2.0) * min(c, 0.3) + (1.0 if c > 2.75 else 0.0)
+        if c > 0.3:
+            want += antiderivative(1.0 + c) - antiderivative(1.3)
+        assert p.w_mass(c) == pytest.approx(want, rel=1e-12, abs=0.0), c
+
+
 def test_problem_repr_and_json():
     p = parse_problem(MINIMAL)
     text = p.to_json()
