@@ -15,14 +15,17 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
-from .errors import ExpressionDomainError, SchemaError, ValidationError
+from .errors import (
+    ExpressionDomainError,
+    IntegrationFailureError,
+    SchemaError,
+    ValidationError,
+)
 from .expressions import (
     BinOp,
     Expr,
@@ -37,6 +40,7 @@ from .expressions import (
     step_roots,
     to_source,
 )
+from .quadrature import integrate
 
 __all__ = [
     "Atom",
@@ -190,10 +194,8 @@ class CoefficientMeasure:
                                               set(self.atom_positions))
                             if a < p < b] + [b]
             total = 0.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                for lo, hi in zip(pieces, pieces[1:]):
-                    total += integrate.quad(frob, lo, hi, limit=100)[0]
+            for lo, hi in zip(pieces, pieces[1:]):
+                total += integrate(frob, lo, hi, limit=100)[0]
             for atom in self.atoms:
                 if a < atom.position < b:
                     total += float(np.linalg.norm(atom.matrix))
@@ -426,17 +428,16 @@ class Problem:
             return abs(fn(x))
 
         partials = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                for k in (1, 2, 3, 4):
-                    t = c0 * 10.0 ** (-3 * k)
-                    value = integrate.quad(magnitude, t, c0, limit=120)[0]
-                    partials.append(value)
-            except (ZeroDivisionError, ValueError, OverflowError,
-                    ExpressionDomainError):
-                raise ValidationError(
-                    f"{label} is not integrable near 0") from None
+        try:
+            for k in (1, 2, 3, 4):
+                t = c0 * 10.0 ** (-3 * k)
+                partials.append(integrate(magnitude, t, c0, limit=120)[0])
+        except (ZeroDivisionError, ValueError, OverflowError,
+                ExpressionDomainError):
+            raise ValidationError(f"{label} is not integrable near 0") from None
+        except IntegrationFailureError as exc:
+            raise ValidationError(
+                f"{label} fails the integrability check near 0 ({exc})") from None
         last = partials[-1]
         if not math.isfinite(last) or last < 0 or last > 1e10:
             raise ValidationError(

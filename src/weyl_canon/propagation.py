@@ -3,9 +3,11 @@
 Between atoms the system is a smooth 2x2 linear ODE, u' = J(q - lam w)u.
 On a piece where both densities are constant (read from the expression
 AST by ``Problem.pieces``) the solution is exp((x - lo) A) u(lo) in 2x2
-closed form; elsewhere it is integrated adaptively (DOP853, tolerances
-below).  At an atom the one-sided
-limits are coupled by B+ u+ = B- u- with
+closed form; elsewhere it is integrated by adaptive commutator-free
+Magnus steps of order 4, each the product of two such closed-form
+exponentials of averages of A at two Gauss-Legendre nodes, with the
+error held to the tolerances below by step doubling.  At an atom the
+one-sided limits are coupled by B+ u+ = B- u- with
 
     B+- (x, lam) = J +- (Delta_q(x) - lam Delta_w(x)) / 2,
 
@@ -29,8 +31,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BadPointError,
@@ -40,6 +40,7 @@ from .errors import (
     WeylCanonError,
 )
 from .measures import Problem
+from .quadrature import integrate
 
 __all__ = [
     "J",
@@ -270,23 +271,6 @@ def segment_safe_entries(entries, x0, x1):
     return safe
 
 
-def _make_rhs(problem: Problem, lam, columns: int, x0, x1):
-    entries = segment_safe_entries(problem.system_matrix(lam), x0, x1)
-
-    def rhs(t, y):
-        a11, a12, a21, a22 = entries(t)
-        z = y.view(np.complex128)
-        out = np.empty_like(z)
-        for j in range(columns):
-            top = z[2 * j]
-            bot = z[2 * j + 1]
-            out[2 * j] = a11 * top + a12 * bot
-            out[2 * j + 1] = a21 * top + a22 * bot
-        return out.view(np.float64)
-
-    return rhs
-
-
 def _constant_flow(a, h):
     """exp(h A), flat like A = (a11, a12, a21, a22), for a constant A.
 
@@ -314,41 +298,126 @@ def _constant_flow(a, h):
             sh = h * (ep - em) / (2 * z)
     except OverflowError:
         raise IntegrationFailureError(
-            f"the solution overflows over a constant piece of length {abs(h)}"
+            f"the solution overflows over a step of length {abs(h)}"
         ) from None
     return ch + sh * n11, sh * a12, sh * a21, ch - sh * n11
+
+
+# Commutator-free Magnus step of order 4 (Blanes & Moan, Appl. Numer.
+# Math. 56 (2006) 1519-1537).  With A1, A2 = A at the Gauss-Legendre
+# nodes x + C1 h, x + C2 h it maps u(x) to
+#     exp(h (B1 A1 + B2 A2)) exp(h (B2 A1 + B1 A2)) u(x),
+# so it reads A only through its two-node averages, and it is exact
+# where A is constant.
+_C1 = 0.5 - math.sqrt(3.0) / 6.0
+_C2 = 0.5 + math.sqrt(3.0) / 6.0
+_B1 = 0.25 - math.sqrt(3.0) / 6.0
+_B2 = 0.25 + math.sqrt(3.0) / 6.0
+
+# The adaptive stepper gives up (IntegrationFailureError) when the step
+# it needs falls below this fraction of the segment length.
+MIN_STEP = 1e-12
+
+
+def _cf4_step(entries, x, h, columns):
+    """One Magnus step of size h (either sign) from x for each column
+    (u, v) of the state."""
+    a1 = entries(x + _C1 * h)
+    a2 = entries(x + _C2 * h)
+    e11, e12, e21, e22 = _constant_flow([_B2 * p + _B1 * r for p, r in zip(a1, a2)], h)
+    f11, f12, f21, f22 = _constant_flow([_B1 * p + _B2 * r for p, r in zip(a1, a2)], h)
+    p11 = f11 * e11 + f12 * e21
+    p12 = f11 * e12 + f12 * e22
+    p21 = f21 * e11 + f22 * e21
+    p22 = f21 * e12 + f22 * e22
+    return [(p11 * u + p12 * v, p21 * u + p22 * v) for u, v in columns]
+
+
+def _magnus_solve(entries, x0, x1, columns, targets):
+    """Adaptive Magnus propagation of the columns from x0 to x1 (either
+    direction) that lands on every target strictly between them and on x1.
+
+    Each step is compared with two half steps; the error of the half
+    steps, |y2 - y1| / 15, is held to RTOL / ATOL (RMS over the
+    components), and the accepted value is the Richardson extrapolation
+    y2 + (y2 - y1) / 15.  Returns the accepted nodes and their states,
+    ordered from x0 to x1.
+    """
+    length = x1 - x0
+    # a step must also move x: at least a few ulps of the endpoints
+    floor = max(MIN_STEP * abs(length), 8.0 * math.ulp(max(abs(x0), abs(x1))))
+    xs = [x0]
+    states = [columns]
+    x = x0
+    h = length
+    for target in list(targets) + [x1]:
+        while x != target:
+            land = abs(h) >= abs(target - x)
+            step = target - x if land else h
+            y1 = _cf4_step(entries, x, step, columns)
+            half = _cf4_step(entries, x, 0.5 * step, columns)
+            y2 = _cf4_step(entries, x + 0.5 * step, 0.5 * step, half)
+            total = 0.0
+            for (u0, v0), (u1, v1), (u2, v2) in zip(columns, y1, y2):
+                for old, coarse, fine in ((u0, u1, u2), (v0, v1, v2)):
+                    scale = ATOL + RTOL * max(abs(old), abs(fine))
+                    total += (abs(fine - coarse) / (15.0 * scale)) ** 2
+            err = math.sqrt(total / (2 * len(columns)))
+            factor = min(5.0, 0.9 * err ** -0.2) if err > 0 else 5.0
+            if err <= 1.0:
+                x = target if land else x + step
+                columns = [(u2 + (u2 - u1) / 15.0, v2 + (v2 - v1) / 15.0)
+                           for (u1, v1), (u2, v2) in zip(y1, y2)]
+                xs.append(x)
+                states.append(columns)
+                h = step * factor if not land or factor < 1.0 else h
+            else:
+                h = step * max(0.1, factor)
+                if abs(h) < floor:
+                    raise IntegrationFailureError(
+                        f"integration from {x0} to {x1} failed near x={x}: "
+                        f"the step size fell below {floor:.3g}", location=x)
+    return xs, states
 
 
 def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval=None):
     """Propagate the flat complex state (the two components of each
     column in turn) from x0 to x1, in either direction, with no
     discontinuity strictly inside.  Returns (states at t_eval, dense
-    callable x -> state): exact on a constant piece, DOP853 elsewhere."""
+    callable x -> state): exact on a constant piece, adaptive Magnus
+    steps elsewhere, where a dense value is one step from the nearest
+    accepted node."""
     y0 = np.ascontiguousarray(y0_complex, dtype=complex)
+    columns = [(complex(u), complex(v)) for u, v in y0.reshape(-1, 2)]
     a = problem.constant_system(lam, x0, x1)
     if a is not None:
-        columns = [(complex(u), complex(v)) for u, v in y0.reshape(-1, 2)]
-
-        def exact(x):
+        def dense(x):
             p11, p12, p21, p22 = _constant_flow(a, float(x) - x0)
             return np.array([c for u, v in columns
                              for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
+    else:
+        entries = segment_safe_entries(problem.system_matrix(lam), x0, x1)
+        inside = [] if t_eval is None else [float(t) for t in t_eval
+                                            if min(x0, x1) < t < max(x0, x1)]
+        xs, states = _magnus_solve(entries, x0, x1, columns,
+                                   sorted(inside, reverse=x1 < x0))
+        if x1 < x0:
+            xs, states = xs[::-1], states[::-1]
 
-        values = None if t_eval is None else np.array([exact(x) for x in t_eval])
-        return values, exact
+        def flat(cols):
+            return np.array([c for col in cols for c in col])
 
-    rhs = _make_rhs(problem, lam, len(y0) // 2, x0, x1)
-    sol = solve_ivp(rhs, (x0, x1), y0.view(np.float64), method="DOP853",
-                    rtol=RTOL, atol=ATOL, t_eval=t_eval, dense_output=True)
-    if not sol.success:
-        # with t_eval, sol.t is an empty list when no requested point was reached
-        reached = sol.t[-1] if len(sol.t) else x0
-        raise IntegrationFailureError(
-            f"integration from {x0} to {x1} failed near x={reached}: "
-            f"{sol.message}", location=reached)
-    values = sol.y.T.copy().view(np.complex128) if t_eval is not None else None
-    interpolant = sol.sol
-    return values, lambda x: np.ascontiguousarray(interpolant(x)).view(np.complex128)
+        def dense(x):
+            x = float(x)
+            k = bisect.bisect_left(xs, x)
+            if k == len(xs) or (k > 0 and x - xs[k - 1] < xs[k] - x):
+                k -= 1
+            if xs[k] == x:
+                return flat(states[k])
+            return flat(_cf4_step(entries, xs[k], x - xs[k], states[k]))
+
+    values = None if t_eval is None else np.array([dense(x) for x in t_eval])
+    return values, dense
 
 
 def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
@@ -638,12 +707,8 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
     bounds = [0.0] + [p for p in problem.discontinuities if p < c_max] + [c_max]
     for lo, hi in zip(bounds, bounds[1:]):
         for i, k in ((0, 0), (0, 1), (1, 1)):
-            f = integrand_entry(i, k)
-            re = integrate.quad(lambda x: f(x).real, lo, hi,
-                                limit=200, epsabs=1e-13, epsrel=1e-11)[0]
-            im = integrate.quad(lambda x: f(x).imag, lo, hi,
-                                limit=200, epsabs=1e-13, epsrel=1e-11)[0]
-            G[i, k] += re + 1j * im
+            G[i, k] += integrate(integrand_entry(i, k), lo, hi,
+                                 epsabs=1e-13, epsrel=1e-11, limit=200)[0]
     G[1, 0] = np.conj(G[0, 1])
 
     for crossing in fm.crossings:

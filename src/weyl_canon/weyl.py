@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BadPointError,
@@ -43,6 +41,7 @@ from .propagation import (
     eta_solution,
     jump_matrices,
 )
+from .quadrature import integrate
 
 __all__ = [
     "M_INFINITY",
@@ -88,22 +87,20 @@ class TauSample:
 
 def _imag12_integrals(problem: Problem, x_from, x_to):
     """(int Im q12_ac, int Im w12_ac) over (x_from, x_to), split at the
-    density breakpoints."""
+    density breakpoints; both are integrated at once, as the real and
+    imaginary part of one integrand."""
     fq = problem.q._f12
     fw = problem.w._f12
+
+    def integrand(t):
+        return complex(fq(t).imag, fw(t).imag)
+
     cuts = [p for p in problem.discontinuities if x_from < p < x_to]
     bounds = [x_from] + cuts + [x_to]
-    iq = iw = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi == lo:
-                continue
-            iq += integrate.quad(lambda t: fq(t).imag, lo, hi,
-                                 limit=200, epsabs=1e-13, epsrel=1e-12)[0]
-            iw += integrate.quad(lambda t: fw(t).imag, lo, hi,
-                                 limit=200, epsabs=1e-13, epsrel=1e-12)[0]
-    return iq, iw
+    total = sum(integrate(integrand, lo, hi,
+                          epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                for lo, hi in zip(bounds, bounds[1:]))
+    return total.real, total.imag
 
 
 def _atom_product(problem, lam, x):
@@ -223,12 +220,9 @@ def norm_quadrature(problem: Problem, sol: SampledSolution, c) -> NormValue:
 
     bounds = [0.0] + [p for p in problem.discontinuities if p < c] + [c]
     total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for lo, hi in zip(bounds, bounds[1:]):
-            if hi > lo:
-                total += integrate.quad(integrand, lo, hi, limit=200,
-                                        epsabs=1e-13, epsrel=1e-10)[0]
+    for lo, hi in zip(bounds, bounds[1:]):
+        total += integrate(integrand, lo, hi,
+                           epsabs=1e-13, epsrel=1e-10, limit=200)[0]
     for position, balanced in sol.balanced_atom_values(upto=c):
         dw = problem.delta_w(position)
         if np.any(dw):

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import weyl_canon
 from weyl_canon.cli import main, parse_lambda
 
 VALID_DOC = json.dumps({"b": 2, "alpha": 0, "q": {},
@@ -224,3 +228,16 @@ def test_classify_threshold_overrides(runner):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["verdict"]["kind"] == "LimitPoint"
+
+
+# -- import cost ----------------------------------------------------------------
+
+def test_importing_the_cli_does_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(weyl_canon.__file__))
+    code = ("import sys, weyl_canon.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -107,6 +107,14 @@ def test_integrability_check_near_zero():
                 CoefficientMeasure(d11="1", d22="1"))
 
 
+def test_integrability_probe_refuses_an_unconverged_quadrature():
+    # sin(1/x)^2 oscillates without end near 0: the probe's quadrature
+    # runs out of intervals, and that refuses the problem
+    with pytest.raises(ValidationError, match="120 intervals"):
+        Problem(1.0, 0.0, CoefficientMeasure(d11="sin(1/x)^2"),
+                CoefficientMeasure(d11="1", d22="1"))
+
+
 def test_step_roots_split_pieces_without_declared_breakpoints():
     p = Problem(2.0, 0.0, CoefficientMeasure(d12="0.5*i*step(1.5-x)"),
                 CoefficientMeasure(d11="1+step(x-0.8)", d22="1"))

@@ -229,6 +229,32 @@ def test_constant_flow_matches_matrix_exponential(name, a, hs):
             assert np.array_equal(got, np.eye(2) + step * _flat_matrix(a))
 
 
+# -- adaptive Magnus steps on pieces that are not constant ---------------------
+
+@pytest.mark.parametrize("lam", [1j, 2j, -0.5 + 0.5j, 0.5 - 1j])
+def test_magnus_stepper_matches_lesch_malamud_closed_form(lam):
+    p, rec = builtin_example("lesch_malamud", a=1.0)
+    grid = np.geomspace(0.5, 30.0, 12)
+    fm = fundamental_matrix(p, lam, 30.0, grid=grid)
+    # grid points are step nodes; the others are dense values
+    for x in np.concatenate([grid, np.linspace(0.37, 29.3, 7)]):
+        assert rel_err(fm.at(x), rec.eval("U", x, lam)) <= 1e-11, x
+
+
+def test_magnus_stepper_matches_oracle_where_a_does_not_commute():
+    p = Problem(4.0, 0.0,
+                CoefficientMeasure(d11="sin(2*x)", d12="0.5*x-0.3*i", d22="cos(x)"),
+                CoefficientMeasure(d11="1+x^2/4", d12="0.3*i*x", d22="2-cos(3*x)"))
+    lam = 0.7 + 1.2j
+    a1, a2 = (_flat_matrix(p.system_matrix(lam)(x)) for x in (0.5, 2.0))
+    assert np.linalg.norm(a1 @ a2 - a2 @ a1) > 1.0
+    grid = [0.7, 1.9]
+    fm = fundamental_matrix(p, lam, 3.0, grid=grid)
+    oracle = fixed_step_propagate(p, lam, 3.0, OracleConfig(step=1e-3), grid=grid)
+    for x in grid + [3.0]:
+        assert rel_err(fm.at(x), oracle.at(x)) < 1e-9
+
+
 def test_polynomial_density_with_zeros_at_the_probe_points_is_propagated():
     # d vanishes at 1/4, 1/2 and 3/4 of (0, 1) but not in between
     d = "1000*(x-1/4)^2*(x-1/2)^2*(x-3/4)^2"
@@ -282,7 +308,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_constant_pieces_never_call_the_ode_solver(rng, monkeypatch):
-    solves = _count_calls(monkeypatch, propagation_module, "solve_ivp")
+    solves = _count_calls(monkeypatch, propagation_module, "_magnus_solve")
     p = random_piecewise_problem(rng)
     lam = pick_lambda_outside_bad_set(p, rng)
     trace = trace_disks(p, lam, np.geomspace(0.25, 5.0, 12))

@@ -8,6 +8,7 @@ from weyl_canon.catalog import builtin_example
 from weyl_canon.errors import (
     DegenerateHalfPlaneError,
     DegenerateUError,
+    IntegrationFailureError,
     NonRealResultError,
 )
 from weyl_canon.measures import CoefficientMeasure, Problem
@@ -32,6 +33,16 @@ from conftest import pick_lambda_outside_bad_set, random_piecewise_problem, rel_
 
 
 # -- tau ---------------------------------------------------------------------
+
+def test_tau_raises_when_its_quadrature_does_not_converge():
+    # Im q12 = sin(x^3) has ~8600 sign changes on (0, 30): far more than the
+    # 200 intervals tau's quadrature may use
+    p = Problem(40.0, 0.0, CoefficientMeasure(d12="i*sin(x^3)"),
+                CoefficientMeasure(d11="1", d22="1"))
+    assert abs(tau(p, 1j, 1.0).value) == pytest.approx(1.0)
+    with pytest.raises(IntegrationFailureError, match="200 intervals"):
+        tau(p, 1j, 30.0)
+
 
 def test_tau_is_one_for_real_coefficients(rng):
     p, _ = builtin_example("free_identity")
