@@ -354,17 +354,24 @@ def _magnus_solve(entries, x0, x1, columns, targets):
         while x != target:
             land = abs(h) >= abs(target - x)
             step = target - x if land else h
-            y1 = _cf4_step(entries, x, step, columns)
-            half = _cf4_step(entries, x, 0.5 * step, columns)
-            y2 = _cf4_step(entries, x + 0.5 * step, 0.5 * step, half)
-            total = 0.0
-            for (u0, v0), (u1, v1), (u2, v2) in zip(columns, y1, y2):
-                for old, coarse, fine in ((u0, u1, u2), (v0, v1, v2)):
-                    scale = ATOL + RTOL * max(abs(old), abs(fine))
-                    total += (abs(fine - coarse) / (15.0 * scale)) ** 2
-            err = math.sqrt(total / (2 * len(columns)))
-            factor = min(5.0, 0.9 * err ** -0.2) if err > 0 else 5.0
+            try:
+                y1 = _cf4_step(entries, x, step, columns)
+                half = _cf4_step(entries, x, 0.5 * step, columns)
+                y2 = _cf4_step(entries, x + 0.5 * step, 0.5 * step, half)
+                total = 0.0
+                for (u0, v0), (u1, v1), (u2, v2) in zip(columns, y1, y2):
+                    for old, coarse, fine in ((u0, u1, u2), (v0, v1, v2)):
+                        scale = ATOL + RTOL * max(abs(old), abs(fine))
+                        total += (abs(fine - coarse) / (15.0 * scale)) ** 2
+                err = math.sqrt(total / (2 * len(columns)))
+            except (IntegrationFailureError, OverflowError):
+                err = math.inf      # an exponential or a modulus overflowed
+            # products overflow to inf without raising, and inf - inf makes
+            # err NaN; such a step is shrunk by 10 like any rejected one, so
+            # a solution that really overflows ends at the step floor
+            overflow = not math.isfinite(err)
             if err <= 1.0:
+                factor = min(5.0, 0.9 * err ** -0.2) if err > 0 else 5.0
                 x = target if land else x + step
                 columns = [(u2 + (u2 - u1) / 15.0, v2 + (v2 - v1) / 15.0)
                            for (u1, v1), (u2, v2) in zip(y1, y2)]
@@ -372,11 +379,13 @@ def _magnus_solve(entries, x0, x1, columns, targets):
                 states.append(columns)
                 h = step * factor if not land or factor < 1.0 else h
             else:
-                h = step * max(0.1, factor)
+                h = step * (0.1 if overflow else max(0.1, 0.9 * err ** -0.2))
                 if abs(h) < floor:
+                    why = ("the solution overflows" if overflow
+                           else f"the step size fell below {floor:.3g}")
                     raise IntegrationFailureError(
                         f"integration from {x0} to {x1} failed near x={x}: "
-                        f"the step size fell below {floor:.3g}", location=x)
+                        f"{why}", location=x)
     return xs, states
 
 
@@ -417,6 +426,10 @@ def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval=None):
             return flat(_cf4_step(entries, xs[k], x - xs[k], states[k]))
 
     values = None if t_eval is None else np.array([dense(x) for x in t_eval])
+    if values is not None and not np.isfinite(values).all():
+        # an exact exponential can be finite while its product is not
+        raise IntegrationFailureError(
+            f"the solution overflows between x={x0} and x={x1}", location=x1)
     return values, dense
 
 

@@ -7,8 +7,9 @@ the quadrature norm and the kernel Gram matrix.  Each interval gets the
 error estimate of QUADPACK's QK21 (Piessens, de Doncker-Kapenga,
 Ueberhuber, Kahaner, *QUADPACK*, Springer 1983): the Gauss-Kronrod
 difference, sharpened by the integrand's spread over the interval and
-floored at the rounding level 50 eps int |f|.  The interval with the
-largest error is bisected until the summed error meets the tolerance.
+floored at the rounding level 50 eps int |f|.  The interval whose error
+lies furthest above that floor is bisected until the summed error meets
+the tolerance.
 Complex integrands are handled alike, with moduli in place of absolute
 values.
 """
@@ -89,30 +90,36 @@ def _kronrod21(f, a, b):
     return resk * half, max(err, floor), floor
 
 
-def integrate(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+def integrate(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, *,
+              strict=True):
     """(value, abserr) of the integral of f (real or complex) over (a, b).
 
     f is never evaluated at a or b, so integrable endpoint singularities
-    are fine.  Bisection stops when abserr <= max(epsabs, epsrel |value|),
-    or when every interval's error is at its rounding floor, where more
-    bisection cannot help.  Raises ``IntegrationFailureError`` when
-    ``limit`` intervals are in use and the error is still above the
-    tolerance, or when f is not finite at a node.
+    are fine.  The interval whose error lies furthest above its rounding
+    floor is bisected until abserr <= max(epsabs, epsrel |value|), or
+    until every interval's error is at its floor, where more bisection
+    cannot help.  Raises ``IntegrationFailureError`` when f is not finite
+    at a node, and when ``limit`` intervals are in use and the error is
+    still above the tolerance; with ``strict=False`` the estimate at the
+    limit is returned instead, for callers that judge it themselves.
     """
     a = float(a)
     b = float(b)
     if a == b:
         return 0.0, 0.0
     value, err, floor = _kronrod21(f, a, b)
-    heap = [(-err, a, b, value, err, floor)]
+    # ordered by the error above the rounding floor, largest first
+    heap = [(floor - err, a, b, value, err, floor)]
     total, total_err = value, err
     while True:
         if not math.isfinite(total_err):
             raise IntegrationFailureError(
                 f"the integrand is not finite on ({a}, {b})")
-        if total_err <= max(epsabs, epsrel * abs(total)) or heap[0][4] <= heap[0][5]:
-            break              # converged, or the largest error is rounding
+        if total_err <= max(epsabs, epsrel * abs(total)) or heap[0][0] >= 0.0:
+            break              # converged, or every error is at its floor
         if len(heap) >= limit:
+            if not strict:
+                break
             raise IntegrationFailureError(
                 f"quadrature on ({a}, {b}) reached {limit} intervals with "
                 f"error estimate {total_err:.3g} above the tolerance "
@@ -123,7 +130,7 @@ def integrate(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
         total_err -= e
         for part in ((lo, mid), (mid, hi)):
             pv, pe, pf = _kronrod21(f, *part)
-            heapq.heappush(heap, (-pe, *part, pv, pe, pf))
+            heapq.heappush(heap, (pf - pe, *part, pv, pe, pf))
             total += pv
             total_err += pe
     # resum from left to right: the running totals drift by rounding

@@ -29,6 +29,7 @@ from .errors import (
     BadPointError,
     DegenerateHalfPlaneError,
     DegenerateUError,
+    IntegrationFailureError,
     NonRealResultError,
 )
 from .measures import Problem
@@ -118,6 +119,15 @@ def _atom_product(problem, lam, x):
     return product
 
 
+def _tau_factor(iq, iw, lam, x):
+    """exp(2i (iq - lam iw)); an overflow is the blow-up of det U at x."""
+    try:
+        return cmath.exp(2j * (iq - lam * iw))
+    except OverflowError:
+        raise IntegrationFailureError(
+            f"tau(x={x}, lam={lam}) overflows", location=x) from None
+
+
 def tau(problem: Problem, lam, x) -> TauSample:
     """tau(x, lam); x must satisfy 0 <= x < b.
 
@@ -132,7 +142,7 @@ def tau(problem: Problem, lam, x) -> TauSample:
         raise ValueError(f"x={x} outside [0, {problem.b})")
     product = _atom_product(problem, lam, x)
     iq, iw = _imag12_integrals(problem, 0.0, x)
-    factor = cmath.exp(2j * (iq - lam * iw))
+    factor = _tau_factor(iq, iw, lam, x)
     return TauSample(x, lam, product, factor, product * factor)
 
 
@@ -160,7 +170,7 @@ def tau_profile(problem: Problem, lam, xs):
                 raise BadPointError(bad_points(problem, lam))
             product *= jp.det_minus / jp.det_plus
             k += 1
-        factor = cmath.exp(2j * (iq - lam * iw))
+        factor = _tau_factor(iq, iw, lam, x)
         samples.append(TauSample(x, lam, product, factor, product * factor))
         prev = x
     return samples

@@ -206,6 +206,23 @@ def test_classify_integration_failure_exit_4(runner, tmp_path):
     assert "integration" in result.output
 
 
+def test_classify_overflow_exit_4(runner, tmp_path):
+    # the solution overflows near x = 0.71 inside a non-constant piece
+    doc = {"b": 2, "alpha": 0, "q": {"d11": "1000+x", "d22": "-1000-x"},
+           "w": {"d11": "1", "d22": "1"}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["classify", "--problem", str(path),
+                             "--lambda", "i"])
+    assert result.exit_code == 4
+    assert "overflows" in result.output
+    # tau at conj(lam) outgrows the float range before c = 400
+    result = invoke(runner, ["classify", "--example", "lesch_malamud(a=1)",
+                             "--lambda", "2i", "--cmax", "400"])
+    assert result.exit_code == 4
+    assert "overflows" in result.output
+
+
 def test_classify_rejects_csv_format(runner):
     result = invoke(runner, ["classify", "--example", "free_identity",
                              "--lambda", "i", "--format", "csv"])

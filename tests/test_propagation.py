@@ -295,6 +295,23 @@ def test_solver_failure_raises_integration_failure():
         fundamental_matrix(p, 1j, 2.0)
 
 
+def test_overflowing_solution_raises_integration_failure():
+    # q = diag(1000 + x, -1000 - x) is not constant and its solutions grow
+    # like exp(1000 x), past the float range near x = 0.71
+    q = CoefficientMeasure(d11="1000+x", d22="-1000-x")
+    w = CoefficientMeasure(d11="1", d22="1")
+    p = Problem(2.0, 0.0, q, w)
+    u = fundamental_matrix(p, 1j, 0.5).at(0.5)
+    assert np.all(np.isfinite(u)) and np.abs(u).max() > 1e200
+    with pytest.raises(IntegrationFailureError, match="overflows") as info:
+        fundamental_matrix(p, 1j, 1.0)
+    assert 0.6 < info.value.location < 0.75
+    # two constant pieces: each exponential is finite, their product is not
+    q = CoefficientMeasure(d11="1000-step(x-0.7)", d22="-1000+step(x-0.7)")
+    with pytest.raises(IntegrationFailureError, match="overflows"):
+        fundamental_matrix(Problem(2.0, 0.0, q, w), 1j, 1.4)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

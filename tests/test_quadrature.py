@@ -28,6 +28,13 @@ def test_interval_limit_raises():
         integrate(lambda x: math.sin(200.0 * x), 0.0, 100.0, limit=10)
 
 
+def test_interval_limit_returns_the_estimate_when_not_strict():
+    value, abserr = integrate(lambda x: math.sin(200.0 * x), 0.0, 100.0,
+                              limit=10, strict=False)
+    assert abs(value - (1.0 - math.cos(2e4)) / 200.0) <= abserr
+    assert abserr > 1.49e-8
+
+
 def test_non_finite_integrand_raises():
     with pytest.raises(IntegrationFailureError, match="not finite"):
         integrate(lambda x: 1.0 / (x - 0.5) if x != 0.5 else math.inf, 0.0, 1.0)
@@ -39,6 +46,19 @@ def test_rounding_limited_integral_returns():
     value, abserr = integrate(math.sin, 0.0, 200.0 * math.pi,
                               epsabs=1e-15, epsrel=0.0, limit=500)
     assert abs(value) <= abserr < 1e-11
+
+
+def test_one_interval_at_its_rounding_floor_does_not_stop_the_others():
+    # (0, 1) is at its rounding floor 50 eps 1e6 = 1.1e-8 at once; the
+    # oscillating half must still be bisected until the sum meets epsabs
+    def f(x):
+        return 1e6 if x < 1.0 else math.sin(1000.0 * x)
+
+    exact = 1e6 + (math.cos(1000.0) - math.cos(2000.0)) / 1000.0
+    value, abserr = integrate(f, 0.0, 2.0, epsabs=2.2e-8, epsrel=0.0,
+                              limit=500)
+    assert abserr <= 2.2e-8
+    assert abs(value - exact) <= 1e-9
 
 
 def test_complex_integrand():
