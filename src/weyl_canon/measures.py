@@ -505,13 +505,6 @@ class Problem:
                     w11.real ** 2 + 2 * abs(w12) ** 2 + w22.real ** 2)
         return total
 
-    def segment_bounds(self, x0, x1):
-        """Discontinuity positions strictly inside (x0, x1), sorted in
-        propagation direction."""
-        lo, hi = (x0, x1) if x0 <= x1 else (x1, x0)
-        inner = [p for p in self.discontinuities if lo < p < hi]
-        return inner if x0 <= x1 else inner[::-1]
-
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> dict:

@@ -3,8 +3,12 @@
 The fixed-step integrator solves exactly the same equations as the
 adaptive propagator but with a deliberately naive scheme (explicit
 midpoint or classical RK4 on scalar complex arithmetic, no error
-control, no scipy).  It exists purely as an independent route for
-differential testing; it is not a production integrator.
+control).  It exists purely as an independent route for differential
+testing; it is not a production integrator.  It shares the walker of
+``propagation`` (segmentation and atom transfers) and replaces only the
+stepper between discontinuities, so it checks the integration; the
+segmentation and the transfers are checked against the catalog closed
+forms and the benchmark's references.
 """
 
 from __future__ import annotations
@@ -15,17 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import ClosedFormRecord
-from .errors import BadPointError
 from .measures import Problem
-from .propagation import (
-    AtomCrossing,
-    FundamentalMatrix,
-    _Segment,
-    bad_points,
-    jump_matrices,
-    rotation,
-    segment_safe_entries,
-)
+from .propagation import FundamentalMatrix, _forward, segment_safe_entries
 
 __all__ = [
     "OracleConfig",
@@ -104,19 +99,12 @@ def _march(entries, state, x0, x1, h_max, method):
 def fixed_step_propagate(problem: Problem, lam, c,
                          config: OracleConfig = OracleConfig(),
                          grid=None) -> FundamentalMatrix:
-    """Fixed-step analogue of fundamental_matrix: identical segmentation
-    and atom transfers, naive integration in between.  Values are exact
-    only at the stored sample points (no dense interpolant)."""
+    """Fixed-step analogue of fundamental_matrix: the same walker, so
+    the same segmentation and atom transfers, with a naive march from
+    each discontinuity or grid point to the next.  Values are exact only
+    at the stored sample points (no dense interpolant)."""
     lam = complex(lam)
     c = float(c)
-    if not (0.0 < c < problem.b):
-        raise ValueError(f"c={c} must lie strictly inside (0, {problem.b})")
-    if c in problem.atom_positions:
-        raise ValueError(f"c={c} is an atom position")
-    report = bad_points(problem, lam)
-    if report.forward_blocked_before(c):
-        raise BadPointError(report)
-
     inner = [p for p in problem.discontinuities if 0.0 < p < c]
     gaps = np.diff([0.0] + inner + [c])
     min_gap = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else c
@@ -124,46 +112,17 @@ def fixed_step_propagate(problem: Problem, lam, c,
         raise ValueError(
             f"oracle step {config.step} exceeds a tenth of the smallest "
             f"segment ({min_gap}); refine the step")
-
-    sample_set = {0.0, c}
-    if grid is not None:
-        sample_set.update(float(x) for x in grid
-                          if 0.0 <= float(x) <= c
-                          and float(x) not in problem.atom_positions)
-    bounds = sorted(set(inner) | sample_set)
-    atom_set = set(problem.atom_positions)
-
     entries = problem.system_matrix(lam)
-    U = rotation(problem.alpha)
-    state = (U[0, 0], U[1, 0], U[0, 1], U[1, 1])
-    samples = {0.0: U.copy()}
-    segments = []
-    crossings = []
-    lo = bounds[0]
-    for hi in bounds[1:]:
-        state = _march(entries, state, lo, hi, config.step, config.method)
-        segments.append(_Segment(lo, hi, None))
-        if hi in atom_set:
-            jp = jump_matrices(problem.delta_q(hi), problem.delta_w(hi),
-                               lam, hi)
-            left = _state_matrix(state)
-            right = jp.transfer_matrix() @ left
-            crossings.append(AtomCrossing(hi, jp, left, right,
-                                          0.5 * (left + right)))
-            state = (right[0, 0], right[1, 0], right[0, 1], right[1, 1])
-        elif hi in sample_set:
-            samples[hi] = _state_matrix(state)
-        lo = hi
 
-    xs = np.array(sorted(samples))
-    values = np.array([samples[x] for x in xs])
-    return FundamentalMatrix(problem, lam, c, xs, values, crossings, segments,
-                             lambda_report=report if report.in_lambda_set else None)
+    def solve(lo, hi, flat, t_eval):
+        state = tuple(flat)     # (u11, u21, u12, u22)
+        states = [state]
+        for x0, x1 in zip(t_eval, t_eval[1:]):
+            state = _march(entries, state, x0, x1, config.step, config.method)
+            states.append(state)
+        return np.array(states), None
 
-
-def _state_matrix(state):
-    u11, u21, u12, u22 = state
-    return np.array([[u11, u12], [u21, u22]], dtype=complex)
+    return _forward(problem, lam, c, [] if grid is None else grid, solve)
 
 
 def closed_form_eval(record: ClosedFormRecord, quantity, *args):

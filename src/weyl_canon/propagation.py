@@ -16,6 +16,13 @@ B+ is invertible; B- singular merely collapses the solution space (the
 transfer has rank 1).  Balanced values (u- + u+)/2 are stored at every
 atom because the measure-theoretic solutions are balanced functions.
 
+One walker, ``_walk``, carries a vector or a matrix of columns between
+two points in either direction: a per-piece stepper between
+discontinuities, the transfer B+^{-1} B- (forward) or B-^{-1} B+
+(backward) at each atom strictly inside.  ``fundamental_matrix``,
+``eta_solution`` and ``evolve_ac`` run it with the exact / Magnus
+stepper ``_solve_segment``, and the fixed-step oracle with its own.
+
 Everything here is a pure function of immutable inputs: propagations at
 distinct (lam, c) may run concurrently without coordination, while a
 single propagation is inherently sequential in x.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -389,7 +397,7 @@ def _magnus_solve(entries, x0, x1, columns, targets):
     return xs, states
 
 
-def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval=None):
+def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval):
     """Propagate the flat complex state (the two components of each
     column in turn) from x0 to x1, in either direction, with no
     discontinuity strictly inside.  Returns (states at t_eval, dense
@@ -406,8 +414,7 @@ def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval=None):
                              for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
     else:
         entries = segment_safe_entries(problem.system_matrix(lam), x0, x1)
-        inside = [] if t_eval is None else [float(t) for t in t_eval
-                                            if min(x0, x1) < t < max(x0, x1)]
+        inside = [float(t) for t in t_eval if min(x0, x1) < t < max(x0, x1)]
         xs, states = _magnus_solve(entries, x0, x1, columns,
                                    sorted(inside, reverse=x1 < x0))
         if x1 < x0:
@@ -425,34 +432,11 @@ def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval=None):
                 return flat(states[k])
             return flat(_cf4_step(entries, xs[k], x - xs[k], states[k]))
 
-    values = None if t_eval is None else np.array([dense(x) for x in t_eval])
-    if values is not None and not np.isfinite(values).all():
-        # an exact exponential can be finite while its product is not
-        raise IntegrationFailureError(
-            f"the solution overflows between x={x0} and x={x1}", location=x1)
-    return values, dense
-
-
-def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
-    """Evolve a single solution vector over an atom-free interval."""
-    for p in problem.atom_positions:
-        if min(x0, x1) < p < max(x0, x1):
-            raise ValueError(f"interval ({x0}, {x1}) contains the atom at {p}")
-    if x0 == x1:
-        return np.asarray(u0, dtype=complex).copy()
-    u = np.asarray(u0, dtype=complex)
-    cuts = problem.segment_bounds(x0, x1)
-    lo = x0
-    for hi in cuts + [x1]:
-        if hi != lo:
-            _, dense = _solve_segment(problem, lam, lo, hi, u)
-            u = dense(hi)
-        lo = hi
-    return u
+    return np.array([dense(x) for x in t_eval]), dense
 
 
 # --------------------------------------------------------------------------
-# fundamental matrices
+# the walker: pieces and atom transfers
 # --------------------------------------------------------------------------
 
 class AtomCrossing(NamedTuple):
@@ -466,8 +450,73 @@ class AtomCrossing(NamedTuple):
 class _Segment(NamedTuple):
     lo: float
     hi: float
-    dense: object   # callable x -> U(x) flattened by columns, or None
+    dense: object   # callable x -> state flattened by columns, or None
 
+
+def _walk(problem, lam, x0, x1, state, solve, samples=frozenset()):
+    """Carry ``state``, one solution vector or a matrix of solution
+    columns, from x0 to x1 in either direction.
+
+    ``solve(lo, hi, flat, t_eval)`` carries the state, flattened by
+    columns, over one piece between discontinuities and returns (states
+    at t_eval, dense callable or None); t_eval runs from lo through the
+    ``samples`` strictly inside to hi.  At each atom strictly between x0
+    and x1 the state is carried across by B+^{-1} B- forward and by
+    B-^{-1} B+ backward; an atom at x0 or x1 is not crossed.  Every
+    value is checked to be finite.  Returns (state at x1, {x: state}
+    for the samples passed, crossings, segments), the last two in walk
+    order.
+    """
+    forward = x0 <= x1
+    lo_all, hi_all = (x0, x1) if forward else (x1, x0)
+    cuts = [p for p in problem.discontinuities if lo_all < p < hi_all]
+    points = sorted(samples)
+    if not forward:
+        cuts.reverse()
+        points.reverse()
+    atoms = set(problem.atom_positions)
+    shape = np.shape(state)
+    found, crossings, segments = {}, [], []
+    for lo, hi in zip([x0] + cuts, cuts + [x1]):
+        a, b = min(lo, hi), max(lo, hi)
+        t_eval = [lo] + [x for x in points if a < x < b] + [hi]
+        values, dense = solve(lo, hi, np.ravel(state, order="F"), t_eval)
+        if not np.isfinite(values).all():
+            # an exact exponential can be finite while its product is not;
+            # a transfer that overflows shows at the start of the next piece
+            raise IntegrationFailureError(
+                f"the solution overflows between x={lo} and x={hi}", location=hi)
+        for x, value in zip(t_eval, values):
+            if x in samples:
+                found[x] = value.reshape(shape, order="F")
+        state = values[-1].reshape(shape, order="F")
+        segments.append(_Segment(a, b, dense))
+        if hi != x1 and hi in atoms:
+            jp = jump_matrices(problem.delta_q(hi), problem.delta_w(hi), lam, hi)
+            after = (jp.transfer_matrix() if forward
+                     else jp.backward_matrix()) @ state
+            left, right = (state, after) if forward else (after, state)
+            crossings.append(AtomCrossing(hi, jp, left, right,
+                                          0.5 * (left + right)))
+            state = after
+    return state, found, crossings, segments
+
+
+def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
+    """Evolve a single solution vector over an atom-free interval."""
+    for p in problem.atom_positions:
+        if min(x0, x1) < p < max(x0, x1):
+            raise ValueError(f"interval ({x0}, {x1}) contains the atom at {p}")
+    u = np.asarray(u0, dtype=complex)
+    if x0 == x1:
+        return u.copy()
+    return _walk(problem, lam, x0, x1, u, functools.partial(
+        _solve_segment, problem, lam))[0]
+
+
+# --------------------------------------------------------------------------
+# fundamental matrices
+# --------------------------------------------------------------------------
 
 class SampledSolution:
     """One solution u = U(.) @ coeff of the fundamental matrix; balanced
@@ -581,14 +630,35 @@ class FundamentalMatrix:
 
 
 def _require_continuity_point(problem, c):
-    for p in problem.atom_positions:
-        if p == c:
-            raise ValueError(f"c={c} is an atom position; pick a continuity point")
+    if not (0.0 < c < problem.b):
+        raise ValueError(f"c={c} must lie strictly inside (0, {problem.b})")
+    if c in problem.atom_positions:
+        raise ValueError(f"c={c} is an atom position; pick a continuity point")
+
+
+def _forward(problem, lam, c, grid, solve) -> FundamentalMatrix:
+    """U from rotation(alpha) at 0 to c by ``_walk`` with the per-piece
+    stepper ``solve``, sampled at 0, c and the points of ``grid`` in
+    [0, c] that are not atoms.  Raises BadPointError when some atom in
+    (0, c) has a singular B+.  The fixed-step oracle reaches the walker
+    through this function as well."""
+    _require_continuity_point(problem, c)
+    report = bad_points(problem, lam)
+    if report.forward_blocked_before(c):
+        raise BadPointError(report)
+    samples = {0.0, c} | {x for x in map(float, grid)
+                          if 0.0 <= x <= c and x not in problem.atom_positions}
+    _, found, crossings, segments = _walk(
+        problem, lam, 0.0, c, rotation(problem.alpha), solve, samples)
+    xs = sorted(found)
+    return FundamentalMatrix(problem, lam, c, xs, [found[x] for x in xs],
+                             crossings, segments,
+                             lambda_report=report if report.in_lambda_set else None)
 
 
 def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix:
     """Propagate U columnwise from 0 to c through alternating AC evolution
-    and atom transfers.
+    and atom transfers, sampled at the grid and at the density breaks.
 
     Raises BadPointError when some atom in (0, c) has a singular B+ (the
     forward transfer does not exist).  A singular B- alone is allowed:
@@ -598,60 +668,9 @@ def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix
     """
     lam = complex(lam)
     c = float(c)
-    if not (0.0 < c < problem.b):
-        raise ValueError(f"c={c} must lie strictly inside (0, {problem.b})")
-    _require_continuity_point(problem, c)
-    report = bad_points(problem, lam)
-    if report.forward_blocked_before(c):
-        raise BadPointError(report)
-
-    atoms = [p for p in problem.atom_positions if p < c]
-    breaks = [p for p in problem.discontinuities if p < c and p not in atoms]
-    bounds = sorted(set(atoms + breaks + [0.0, c]))
-
-    want = {0.0, c}
-    if grid is not None:
-        for x in grid:
-            x = float(x)
-            if 0.0 <= x <= c and x not in problem.atom_positions:
-                want.add(x)
-    want.update(b for b in breaks)
-
-    xs_sorted = sorted(want)
-    samples = {}
-    segments = []
-    crossings = []
-
-    U = rotation(problem.alpha)
-    samples[0.0] = U.copy()
-    atom_set = set(atoms)
-    for lo, hi in zip(bounds, bounds[1:]):
-        t_req = np.array([lo] + [x for x in xs_sorted if lo < x < hi] + [hi])
-        values, dense = _solve_segment(problem, lam, lo, hi,
-                                       U.flatten(order="F"), t_eval=t_req)
-        for x, row in zip(t_req, values):
-            if x in want:
-                samples[x] = row.reshape(2, 2, order="F")
-        U = values[-1].reshape(2, 2, order="F")
-        segments.append(_Segment(lo, hi, dense))
-        if hi in atom_set:
-            jp = jump_matrices(problem.delta_q(hi), problem.delta_w(hi), lam, hi)
-            left = U.copy()
-            try:
-                right = jp.transfer_matrix() @ left
-            except SingularForwardJumpError:
-                raise BadPointError(report) from None
-            crossings.append(AtomCrossing(hi, jp, left, right,
-                                          0.5 * (left + right)))
-            U = right
-        elif hi in want and hi not in samples:
-            samples[hi] = U.copy()
-
-    samples[c] = U.copy()
-    xs = np.array(sorted(samples))
-    values = np.array([samples[x] for x in xs])
-    return FundamentalMatrix(problem, lam, c, xs, values, crossings, segments,
-                             lambda_report=report if report.in_lambda_set else None)
+    grid = [] if grid is None else list(grid)
+    return _forward(problem, lam, c, grid + list(problem.discontinuities),
+                    functools.partial(_solve_segment, problem, lam))
 
 
 def eta_solution(problem: Problem, lam, c, beta) -> np.ndarray:
@@ -660,21 +679,10 @@ def eta_solution(problem: Problem, lam, c, beta) -> np.ndarray:
     (0, c) must have an invertible B-."""
     lam = complex(lam)
     c = float(c)
-    if not (0.0 < c < problem.b):
-        raise ValueError(f"c={c} must lie strictly inside (0, {problem.b})")
     _require_continuity_point(problem, c)
-
-    u = np.array([-math.sin(beta), math.cos(beta)], dtype=complex)
-    stops = [p for p in problem.discontinuities if p < c][::-1]
-    atom_set = set(problem.atom_positions)
-    x = c
-    for p in stops:
-        u = evolve_ac(problem, lam, x, p, u)
-        if p in atom_set:
-            jp = jump_matrices(problem.delta_q(p), problem.delta_w(p), lam, p)
-            u = jp.backward_matrix() @ u  # raises SingularBackwardJumpError
-        x = p
-    return evolve_ac(problem, lam, x, 0.0, u)
+    eta = np.array([-math.sin(beta), math.cos(beta)], dtype=complex)
+    return _walk(problem, lam, c, 0.0, eta,
+                 functools.partial(_solve_segment, problem, lam))[0]
 
 
 # --------------------------------------------------------------------------
@@ -701,7 +709,8 @@ class KernelGram:
 
 
 def kernel_gram(problem: Problem, c_max) -> KernelGram:
-    """Quadrature of U(.,0)* w U(.,0) plus balanced atom terms."""
+    """One matrix quadrature of U(.,0)* w U(.,0) per piece, plus the
+    balanced atom terms."""
     c_max = float(c_max)
     report = bad_points(problem, 0.0)
     if report.in_lambda_set:
@@ -709,19 +718,14 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
                                     "kernel Gram matrix is not defined")
     fm = fundamental_matrix(problem, 0.0, c_max)
 
-    def integrand_entry(i, k):
-        def f(x):
-            u = fm.at(x)
-            w = problem.w.density(x)
-            return (u.conj().T @ w @ u)[i, k]
-        return f
+    def integrand(x):
+        u = fm.at(x)
+        return u.conj().T @ problem.w.density(x) @ u
 
     G = np.zeros((2, 2), dtype=complex)
-    bounds = [0.0] + [p for p in problem.discontinuities if p < c_max] + [c_max]
+    bounds = [0.0] + [p for p in problem.discontinuities if 0.0 < p < c_max] + [c_max]
     for lo, hi in zip(bounds, bounds[1:]):
-        for i, k in ((0, 0), (0, 1), (1, 1)):
-            G[i, k] += integrate(integrand_entry(i, k), lo, hi,
-                                 epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+        G += integrate(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
     G[1, 0] = np.conj(G[0, 1])
 
     for crossing in fm.crossings:

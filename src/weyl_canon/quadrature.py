@@ -11,7 +11,9 @@ floored at the rounding level 50 eps int |f|.  The interval whose error
 lies furthest above that floor is bisected until the summed error meets
 the tolerance.
 Complex integrands are handled alike, with moduli in place of absolute
-values.
+values, and array-valued ones (the Gram matrix) with every size taken
+in the max norm over the components, so that one subdivision serves
+all of them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import heapq
 import math
 from itertools import repeat
 from operator import mul, sub
+
+import numpy as np
 
 from .errors import IntegrationFailureError
 
@@ -72,6 +76,11 @@ _WG21 = 2 * tuple(0.0 if j % 2 == 0 else _WG[j // 2] for j in range(10)) + (0.0,
 _EPS = 2.220446049250313e-16
 
 
+def _size(v):
+    """|v| for a number, the max norm over the components of an array."""
+    return float(np.max(np.abs(v))) if isinstance(v, np.ndarray) else abs(v)
+
+
 def _kronrod21(f, a, b):
     """(value, error, rounding floor) of f on (a, b) by the 21-point rule."""
     centre = 0.5 * (a + b)
@@ -79,10 +88,10 @@ def _kronrod21(f, a, b):
     values = [f(centre + half * t) for t in _NODES]
     resk = sum(map(mul, _WK21, values))
     resg = sum(map(mul, _WG21, values))
-    resabs = sum(map(mul, _WK21, map(abs, values)))
-    resasc = sum(map(mul, _WK21, map(abs, map(sub, values, repeat(0.5 * resk)))))
+    resabs = _size(sum(map(mul, _WK21, map(abs, values))))
+    resasc = _size(sum(map(mul, _WK21, map(abs, map(sub, values, repeat(0.5 * resk))))))
     h = abs(half)
-    err = abs(resk - resg) * h
+    err = _size(resk - resg) * h
     resasc *= h
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -92,7 +101,8 @@ def _kronrod21(f, a, b):
 
 def integrate(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, *,
               strict=True):
-    """(value, abserr) of the integral of f (real or complex) over (a, b).
+    """(value, abserr) of the integral of f over (a, b); f returns real or
+    complex numbers, or arrays of them.
 
     f is never evaluated at a or b, so integrable endpoint singularities
     are fine.  The interval whose error lies furthest above its rounding
@@ -115,7 +125,7 @@ def integrate(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, *,
         if not math.isfinite(total_err):
             raise IntegrationFailureError(
                 f"the integrand is not finite on ({a}, {b})")
-        if total_err <= max(epsabs, epsrel * abs(total)) or heap[0][0] >= 0.0:
+        if total_err <= max(epsabs, epsrel * _size(total)) or heap[0][0] >= 0.0:
             break              # converged, or every error is at its floor
         if len(heap) >= limit:
             if not strict:
@@ -123,7 +133,7 @@ def integrate(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, *,
             raise IntegrationFailureError(
                 f"quadrature on ({a}, {b}) reached {limit} intervals with "
                 f"error estimate {total_err:.3g} above the tolerance "
-                f"max({epsabs:.3g}, {epsrel:.3g} * |{total:.6g}|)")
+                f"max({epsabs:.3g}, {epsrel:.3g} * {_size(total):.6g})")
         _, lo, hi, v, e, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         total -= v

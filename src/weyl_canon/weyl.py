@@ -104,21 +104,6 @@ def _imag12_integrals(problem: Problem, x_from, x_to):
     return total.real, total.imag
 
 
-def _atom_product(problem, lam, x):
-    """Finite product of det B- / det B+ over atoms in the open interval
-    (0, x), evaluated in position order."""
-    product = complex(1.0)
-    for position in problem.atom_positions:
-        if position >= x:
-            break
-        jp = jump_matrices(problem.delta_q(position),
-                           problem.delta_w(position), lam, position)
-        if jp.plus_singular:
-            raise BadPointError(bad_points(problem, lam))
-        product *= jp.det_minus / jp.det_plus
-    return product
-
-
 def _tau_factor(iq, iw, lam, x):
     """exp(2i (iq - lam iw)); an overflow is the blow-up of det U at x."""
     try:
@@ -136,14 +121,10 @@ def tau(problem: Problem, lam, x) -> TauSample:
     Weyl layers will refuse the result; the value itself is still the
     determinant of the collapsed fundamental matrix).
     """
-    lam = complex(lam)
     x = float(x)
     if not (0.0 <= x < problem.b):
         raise ValueError(f"x={x} outside [0, {problem.b})")
-    product = _atom_product(problem, lam, x)
-    iq, iw = _imag12_integrals(problem, 0.0, x)
-    factor = _tau_factor(iq, iw, lam, x)
-    return TauSample(x, lam, product, factor, product * factor)
+    return tau_profile(problem, lam, [x])[0]
 
 
 def tau_profile(problem: Problem, lam, xs):
@@ -228,7 +209,7 @@ def norm_quadrature(problem: Problem, sol: SampledSolution, c) -> NormValue:
              + 2.0 * (m12 * a.conjugate() * b).real)
         return v
 
-    bounds = [0.0] + [p for p in problem.discontinuities if p < c] + [c]
+    bounds = [0.0] + [p for p in problem.discontinuities if 0.0 < p < c] + [c]
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
         total += integrate(integrand, lo, hi,

@@ -29,6 +29,7 @@ from weyl_canon.propagation import (
     rotation,
     transfer_across_atom,
 )
+from weyl_canon.weyl import m_alt, solution_norm_sq
 
 from conftest import (
     pick_lambda_outside_bad_set,
@@ -312,6 +313,23 @@ def test_overflowing_solution_raises_integration_failure():
         fundamental_matrix(Problem(2.0, 0.0, q, w), 1j, 1.4)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_past_a_break_raises_on_every_route():
+    # each piece's exponential is finite, the solution over both is not
+    q = CoefficientMeasure(d11="1000-step(x-0.7)", d22="-1000+step(x-0.7)")
+    p = Problem(2.0, 0.0, q, CoefficientMeasure(d11="1", d22="1"))
+    routes = [
+        lambda: evolve_ac(p, 1j, 0.0, 1.4, np.array([1.0, 1.0])),
+        lambda: evolve_ac(p, 1j, 1.4, 0.0, np.array([1.0, 1.0])),
+        lambda: eta_solution(p, 1j, 1.4, 0.3),
+        lambda: m_alt(p, 1j, 1.4, 0.3),
+        lambda: fixed_step_propagate(p, 1j, 1.4, OracleConfig(step=1e-2)),
+    ]
+    for route in routes:
+        with pytest.raises(IntegrationFailureError, match="overflows"):
+            route()
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -388,6 +406,21 @@ def test_c_at_atom_rejected():
         fundamental_matrix(p, 1j, 1.0)
 
 
+def test_breakpoints_outside_the_walk_are_ignored():
+    w = CoefficientMeasure(d11="1", d22="1")
+    plain = Problem(4.0, 0.0, CoefficientMeasure(), w)
+    odd = Problem(4.0, 0.0, CoefficientMeasure(breakpoints=[-1.0, 0.0]), w)
+    want = fundamental_matrix(plain, 1j, 1.0)
+    assert rel_err(want.at(1.0), [[math.cosh(1.0), 1j * math.sinh(1.0)],
+                                  [-1j * math.sinh(1.0), math.cosh(1.0)]]) < 1e-14
+    got = fundamental_matrix(odd, 1j, 1.0)
+    assert np.array_equal(got.at(1.0), want.at(1.0))
+    assert (solution_norm_sq(got, 1.0, 1, method="quadrature")
+            == solution_norm_sq(want, 1.0, 1, method="quadrature"))
+    assert np.array_equal(kernel_gram(odd, 1.0).matrix,
+                          kernel_gram(plain, 1.0).matrix)
+
+
 def test_jump_consistency_on_random_problems(rng):
     """At every crossed atom: ||B+ U+ - B- U-|| <= 1e-10 ||U-||."""
     for _ in range(12):
@@ -440,6 +473,18 @@ def test_eta_backward_matches_forward_inverse(rng):
     eta0 = eta_solution(p, lam, c, beta)
     forward = evolve_ac(p, lam, 0.0, c, eta0)
     assert rel_err(forward, np.array([-math.sin(beta), math.cos(beta)])) < 1e-10
+
+
+def test_eta_crosses_atoms_like_the_forward_matrix(rng):
+    """U(c) U(0)^{-1} eta(0) = eta(c) with atoms in (0, c)."""
+    beta = 0.9
+    for _ in range(6):
+        p = random_piecewise_problem(rng)
+        lam = pick_lambda_outside_bad_set(p, rng)
+        fm = fundamental_matrix(p, lam, 3.3)
+        eta0 = eta_solution(p, lam, 3.3, beta)
+        eta_c = fm.at(3.3) @ np.linalg.solve(fm.at(0.0), eta0)
+        assert rel_err(eta_c, [-math.sin(beta), math.cos(beta)]) < 1e-8
 
 
 def test_eta_defined_for_bad_point_plus():

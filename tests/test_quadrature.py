@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from weyl_canon.errors import IntegrationFailureError
@@ -66,3 +67,37 @@ def test_complex_integrand():
                               epsabs=1e-13, epsrel=1e-12)
     assert abs(value - 2j) <= 1e-12
     assert abserr <= 1e-12
+
+
+def _matrix_integrand(x):
+    return np.array([[math.exp(x), cmath.exp(2j * x)],
+                     [x ** 3, 1.0 / (1.0 + x * x)]])
+
+
+def test_array_integrand_matches_its_components():
+    value, abserr = integrate(_matrix_integrand, 0.0, 2.0,
+                              epsabs=1e-13, epsrel=1e-12)
+    assert value.shape == (2, 2) and abserr <= 1e-12 * np.abs(value).max()
+    exact = [[math.exp(2.0) - 1.0, (cmath.exp(4j) - 1.0) / 2j],
+             [4.0, math.atan(2.0)]]
+    for i in range(2):
+        for k in range(2):
+            scalar = integrate(lambda x: _matrix_integrand(x)[i, k], 0.0, 2.0,
+                               epsabs=1e-13, epsrel=1e-12)[0]
+            assert value[i, k] == pytest.approx(scalar, rel=1e-13, abs=1e-13)
+            assert value[i, k] == pytest.approx(exact[i][k], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_array_integrand_with_a_non_finite_component_raises():
+    def f(x):
+        return np.array([1.0, 1.0 / (x - 0.5) if x != 0.5 else math.inf])
+
+    with pytest.raises(IntegrationFailureError, match="not finite"):
+        integrate(f, 0.0, 1.0)
+
+
+def test_array_integrand_interval_limit_raises():
+    with pytest.raises(IntegrationFailureError, match="10 intervals"):
+        integrate(lambda x: np.array([1.0, math.sin(200.0 * x)]), 0.0, 100.0,
+                  limit=10)
