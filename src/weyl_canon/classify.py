@@ -74,38 +74,35 @@ class ClassifyConfig:
     norm_conv_ratio: float = 0.97  # increment ratios below -> converging
     norm_div_ratio: float = 1.03   # increment ratios above -> diverging
     tau_decades: float = 3.0       # |tau| must move 10^3 to count as a trend
-    grid_rho: float = 1.5
-    grid_count: int = 24
-    grid_cmax_infinite: float = 30.0
 
 
 DEFAULT_CONFIG = ClassifyConfig()
 
 
 def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
-                   c_max=None, config=DEFAULT_CONFIG) -> np.ndarray:
-    """Geometric truncation grid.
+                   c_max=None) -> np.ndarray:
+    """Geometric truncation grid of ``count`` points (default 24).
 
-    Finite b: c_k = b - (b - c0) rho^{-k}, approaching b from below.
-    Infinite b: ``count`` points spanning [c0, c_max] geometrically
-    (c_max defaults to 30; larger caps overflow double precision on
-    exponentially divergent examples).  Passing rho explicitly instead
-    yields c_k = c0 rho^k capped at c_max.  Grid points colliding with
-    an atom are nudged by 1e-9 of the local gap, so every c is a
-    continuity point.
+    Finite b: c_k = b - (b - c0) rho^{-k} with rho defaulting to 1.5,
+    approaching b from below.  Infinite b: points spanning [c0, c_max]
+    geometrically (c_max defaults to 30; larger caps overflow double
+    precision on exponentially divergent examples).  Passing rho
+    explicitly instead yields c_k = c0 rho^k capped at c_max.  Grid
+    points colliding with an atom are nudged by 1e-9 of the local gap,
+    so every c is a continuity point.
     """
-    count = config.grid_count if count is None else int(count)
+    count = 24 if count is None else int(count)
     if c0 is None:
         c0 = min(1.0, problem.b / 10.0)
     if math.isfinite(problem.b):
-        rho = config.grid_rho if rho is None else float(rho)
+        rho = 1.5 if rho is None else float(rho)
         ks = np.arange(count)
         grid = problem.b - (problem.b - c0) * rho ** (-ks)
         if c_max is not None:
             capped = grid[grid <= float(c_max)]
             grid = capped if capped.size else grid[:1]
     else:
-        c_max = config.grid_cmax_infinite if c_max is None else float(c_max)
+        c_max = 30.0 if c_max is None else float(c_max)
         if rho is None:
             grid = np.geomspace(c0, c_max, count)
         else:
@@ -184,17 +181,16 @@ class DiskTrace:
         return [p for p in self.points if isinstance(p.wset, WeylHalfPlane)]
 
 
-def trace_disks(problem: Problem, lam, c_grid=None,
-                config=DEFAULT_CONFIG) -> DiskTrace:
+def trace_disks(problem: Problem, lam, c_grid=None) -> DiskTrace:
     """Weyl set + norms + tau at every grid point.  Requires Im lam != 0
     and lam outside Lambda.  One propagation sweep at lam, or at
     conj(lam) when Im lam < 0: the entries there are
     tau(c, lam) conj(U(c, conj lam)), with tau from the trace's own
     profile."""
-    return _traces(problem, (complex(lam),), c_grid, config)[0]
+    return _traces(problem, (complex(lam),), c_grid)[0]
 
 
-def _traces(problem, lams, c_grid, config):
+def _traces(problem, lams, c_grid):
     """Disk traces at each of ``lams``, all equal to lam_up or to its
     conjugate for one lam_up with Im lam_up > 0, from a single
     propagation at lam_up.  Checks every lam against Lambda first;
@@ -211,7 +207,7 @@ def _traces(problem, lams, c_grid, config):
 
     policy = "default"
     if c_grid is None:
-        c_grid = default_c_grid(problem, config=config)
+        c_grid = default_c_grid(problem)
     else:
         c_grid = perturb_off_atoms(np.asarray(c_grid, dtype=float), problem)
         policy = "caller"
@@ -413,14 +409,13 @@ class DefinitenessResult:
     c_max: float
 
 
-def definiteness(problem: Problem, c_max=None,
-                 config=DEFAULT_CONFIG) -> DefinitenessResult:
+def definiteness(problem: Problem, c_max=None) -> DefinitenessResult:
     """Smallest eigenvalue of the lambda = 0 Gram matrix on (0, c_max)
     against the 1e-10 * trace cutoff.  The verdict is 'definite up to
     c_max': a null direction appearing only beyond c_max is invisible.
     """
     if c_max is None:
-        c_max = float(default_c_grid(problem, config=config)[-1])
+        c_max = float(default_c_grid(problem)[-1])
     gram = kernel_gram(problem, c_max)
     tr = float(np.real(np.trace(gram.matrix)))
     min_eig = gram.min_eigenvalue
@@ -455,7 +450,7 @@ def all_solutions_l2(problem: Problem, lam, c_grid=None,
     """True when every solution at lam lies in L^2(w), read from the
     convergence of both column norms over the grid.  Raises
     InconclusiveError when the trend cannot be resolved."""
-    trace = trace_disks(problem, lam, c_grid, config)
+    trace = trace_disks(problem, lam, c_grid)
     (psi_cls, _), (phi_cls, _) = _norm_classes(problem, trace, config)
     finite = {NormClass.ZERO, NormClass.CONVERGING}
     if psi_cls is NormClass.AMBIGUOUS or phi_cls is NormClass.AMBIGUOUS:
@@ -535,12 +530,11 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
     lam_up = lam if lam.imag > 0 else lam.conjugate()
 
     if c_grid is None:
-        c_grid = default_c_grid(problem, config=config)
-    defres = definiteness(problem, c_max=float(c_grid[-1]), config=config)
+        c_grid = default_c_grid(problem)
+    defres = definiteness(problem, c_max=float(c_grid[-1]))
     d = defres.dim_null_space
 
-    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()),
-                                 c_grid, config)
+    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()), c_grid)
     (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(
         problem, trace_up, config)
     (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(

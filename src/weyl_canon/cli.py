@@ -16,9 +16,7 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import classify as classify_mod
 from .catalog import builtin_example, catalog_names, parse_example_spec
 from .classify import ClassifyConfig, default_c_grid, deficiency_indices, trace_disks
 from .errors import (
@@ -63,12 +61,6 @@ def _load_problem(problem_path, example):
         return builtin_example(name, **params)[0]
     text = Path(problem_path).read_text()
     return parse_problem(text)
-
-
-def _grid(problem, c0, rho, count, cmax):
-    config = ClassifyConfig()
-    return default_c_grid(problem, c0=c0, rho=rho, count=count, c_max=cmax,
-                          config=config)
 
 
 def _emit(text, out):
@@ -182,7 +174,7 @@ def disks(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
     """Weyl disk / half-plane trace over the truncation grid."""
     def run():
         p = _load_problem(problem, example)
-        grid = _grid(p, c0, rho, count, cmax)
+        grid = default_c_grid(p, c0=c0, rho=rho, count=count, c_max=cmax)
         lams = [parse_lambda(s) for s in lambdas]
         traces = [trace_disks(p, lam, grid) for lam in lams]
         for lam, trace in zip(lams, traces):
@@ -237,7 +229,7 @@ def classify(problem, example, lambdas, c0, rho, count, cmax,
         if fmt == "csv":
             _fail(EXIT_VALIDATION, "classification reports are JSON only")
         p = _load_problem(problem, example)
-        grid = _grid(p, c0, rho, count, cmax)
+        grid = default_c_grid(p, c0=c0, rho=rho, count=count, c_max=cmax)
         overrides = {k: v for k, v in (("lp_radius_drop", lp_radius_drop),
                                        ("lp_ratio", lp_ratio),
                                        ("lc_rel_change", lc_rel_change))
@@ -270,7 +262,7 @@ def tau(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
     """tau(x, lambda) along the grid: x, Re tau, Im tau, |tau|."""
     def run():
         p = _load_problem(problem, example)
-        grid = _grid(p, c0, rho, count, cmax)
+        grid = default_c_grid(p, c0=c0, rho=rho, count=count, c_max=cmax)
         lams = [parse_lambda(s) for s in lambdas]
         profiles = [tau_profile(p, lam, grid) for lam in lams]
         if fmt == "csv":

@@ -202,15 +202,6 @@ class CoefficientMeasure:
             self._mass_cache[key] = total
         return self._mass_cache[key]
 
-    def is_nonzero(self, sample_points) -> bool:
-        if any(np.linalg.norm(a.matrix) > 0 for a in self.atoms):
-            return True
-        for x in sample_points:
-            m11, m12, m22 = self.density_entries(x)
-            if abs(m11) + abs(m12) + abs(m22) > 0:
-                return True
-        return False
-
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> dict:
@@ -282,11 +273,13 @@ class Problem:
     integrable near the regular endpoint 0 (checked by quadrature unless
     the entry is constant on the first piece).
 
-    ``discontinuities`` holds the atom positions, the declared
-    breakpoints and the roots in (0, b) of every ``step`` argument that
-    is affine in x.  ``pieces`` splits (0, b) there.  It does not depend
-    on lambda and is built once, also when validate is False; an entry
-    that is constant on a piece but undefined there is rejected then too.
+    ``discontinuities`` holds the points of (0, b) that are atom
+    positions, declared breakpoints or roots of a ``step`` argument that
+    is affine in x; declared breakpoints outside (0, b) are ignored.
+    ``pieces`` splits (0, b) there, and validation and every integral
+    over x (``integrate``) go through it.  It does not depend on lambda
+    and is built once, also when validate is False; an entry that is
+    constant on a piece but undefined there is rejected then too.
     """
 
     def __init__(self, b, alpha, q: CoefficientMeasure, w: CoefficientMeasure,
@@ -301,18 +294,18 @@ class Problem:
             raise ValidationError(f"alpha must lie in [0, pi), got {self.alpha}")
 
         entries = (q.d11, q.d12, q.d22, w.d11, w.d12, w.d22)
-        roots = {r for e in entries for r in step_roots(e) if 0.0 < r < self.b}
         positions = sorted(set(q.atom_positions) | set(w.atom_positions))
         self.atom_positions = tuple(positions)
-        self.discontinuities = tuple(sorted(
-            set(positions) | set(q.breakpoints) | set(w.breakpoints) | roots))
+        points = set(positions) | set(q.breakpoints) | set(w.breakpoints)
+        points.update(r for e in entries for r in step_roots(e))
+        self.discontinuities = tuple(sorted(p for p in points if 0.0 < p < self.b))
         self.pieces = self._build_pieces(entries)
         self._piece_los = [piece.lo for piece in self.pieces]
         if validate:
-            self._validate()
+            self._validate(entries)
 
     def _build_pieces(self, entries):
-        cuts = [p for p in self.discontinuities if 0.0 < p < self.b]
+        cuts = list(self.discontinuities)
         pieces = []
         for lo, hi in zip([0.0] + cuts, cuts + [self.b]):
             values = []
@@ -333,6 +326,14 @@ class Problem:
         """The piece whose interval [lo, hi) holds x in [0, b)."""
         return self.pieces[bisect.bisect_right(self._piece_los, x) - 1]
 
+    def integrate(self, f, lo, hi, epsabs, epsrel, limit):
+        """Integral of f over (lo, hi) in (0, b): one adaptive quadrature
+        on each piece that meets (lo, hi), so that no quadrature spans a
+        discontinuity, summed from left to right."""
+        return sum(integrate(f, max(piece.lo, lo), min(piece.hi, hi),
+                             epsabs, epsrel, limit)[0]
+                   for piece in self.pieces if piece.lo < hi and lo < piece.hi)
+
     # -- validation --------------------------------------------------------
 
     def _sample_grid(self):
@@ -344,66 +345,57 @@ class Problem:
         # probe just next to every discontinuity as well
         extra = []
         for p in self.discontinuities:
-            if 0 < p < hi:
+            if p < hi:
                 eps = 1e-6 * max(1.0, p)
                 extra.extend([p - eps, p + eps])
         return np.concatenate([grid, extra]) if extra else grid
 
-    def _validate(self):
+    def _validate(self, entries):
+        """Atoms in (0, b) with PSD w atoms; then, on each piece, the
+        exact values of a constant piece or the sample-grid points of
+        any other: real diagonals and PSD w.  w must be nonzero at one
+        of these or at an atom, and every entry integrable near 0."""
         for name, measure in (("q", self.q), ("w", self.w)):
             for a in measure.atoms:
                 if not (0.0 < a.position < self.b):
                     raise ValidationError(
                         f"{name} atom at x={a.position} lies outside (0, {self.b})"
                     )
-
-        w_on_constant_pieces = []
-        for piece in self.pieces:
-            if not piece.constant:
-                continue
-            where = f"on ({piece.lo:.6g}, {piece.hi:.6g})"
-            for k in (0, 2, 3, 5):
-                v = piece.values[k]
-                if _not_real(v):
-                    raise ValidationError(
-                        f"{_ENTRY_LABELS[k]} is not real-valued {where} "
-                        f"(value {v})")
-            w = _density_matrix(*piece.values[3:])
-            bad = psd_violation(w)
-            if bad is not None:
-                raise ValidationError(f"w density {where}: {bad}")
-            w_on_constant_pieces.append(w)
-
-        grid = [x for x in self._sample_grid() if not self._piece_at(x).constant]
-        for name, measure in (("q", self.q), ("w", self.w)):
-            for entry, expr in (("d11", measure.d11), ("d22", measure.d22)):
-                for x in grid:
-                    try:
-                        v = eval_expr(expr, x)
-                    except ExpressionDomainError as exc:
-                        raise ValidationError(f"{name}.{entry}: {exc}") from None
-                    if _not_real(v):
-                        raise ValidationError(
-                            f"{name}.{entry} is not real-valued at x={x:.6g} "
-                            f"(value {v})"
-                        )
-            for x in grid:
-                try:
-                    eval_expr(measure.d12, x)
-                except ExpressionDomainError as exc:
-                    raise ValidationError(f"{name}.d12: {exc}") from None
-
-        for x in grid:
-            bad = psd_violation(self.w.density(x))
-            if bad is not None:
-                raise ValidationError(f"w density at x={x:.6g}: {bad}")
         for k, a in enumerate(self.w.atoms):
             bad = psd_violation(a.matrix)
             if bad is not None:
                 raise ValidationError(f"w.atoms[{k}] at x={a.position}: {bad}")
 
-        if not (any(np.any(w) for w in w_on_constant_pieces)
-                or self.w.is_nonzero(grid)):
+        def sampled(x):
+            values = []
+            for label, expr in zip(_ENTRY_LABELS, entries):
+                try:
+                    values.append(eval_expr(expr, x))
+                except ExpressionDomainError as exc:
+                    raise ValidationError(f"{label}: {exc}") from None
+            return f"at x={x:.6g}", values
+
+        held = {}
+        for x in self._sample_grid():
+            held.setdefault(self._piece_at(x).lo, []).append(x)
+        nonzero = any(np.any(a.matrix) for a in self.w.atoms)
+        for piece in self.pieces:
+            if piece.constant:
+                checks = [(f"on ({piece.lo:.6g}, {piece.hi:.6g})", piece.values)]
+            else:
+                checks = map(sampled, held.get(piece.lo, ()))
+            for where, values in checks:
+                for k in (0, 2, 3, 5):
+                    if _not_real(values[k]):
+                        raise ValidationError(
+                            f"{_ENTRY_LABELS[k]} is not real-valued {where} "
+                            f"(value {values[k]})")
+                w = _density_matrix(*values[3:])
+                bad = psd_violation(w)
+                if bad is not None:
+                    raise ValidationError(f"w density {where}: {bad}")
+                nonzero = nonzero or bool(np.any(w))
+        if not nonzero:
             raise ValidationError("w is identically zero")
 
         c0 = min(1.0, self.b / 2.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import ClosedFormRecord
 from .measures import Problem
-from .propagation import FundamentalMatrix, _forward, segment_safe_entries
+from .propagation import FundamentalMatrix, _forward, fundamental_matrix
 
 __all__ = [
     "OracleConfig",
@@ -49,13 +49,17 @@ def _march(entries, state, x0, x1, h_max, method):
     length = x1 - x0
     if length == 0.0:
         return state
-    entries = segment_safe_entries(entries, x0, x1)
     n = max(1, math.ceil(abs(length) / h_max))
     h = length / n
     u11, u21, u12, u22 = state
+    # both schemes evaluate A at the ends of a step, and a march may end on
+    # a discontinuity, where step() gives its balanced midpoint value; the
+    # ends are nudged one ulp inside, onto the piece the march belongs to
+    lo, hi = (x0, x1) if x0 <= x1 else (x1, x0)
+    left, right = np.nextafter(lo, hi), np.nextafter(hi, lo)
 
     def f(x, v11, v21, v12, v22):
-        a11, a12, a21, a22 = entries(x)
+        a11, a12, a21, a22 = entries(left if x <= lo else right if x >= hi else x)
         return (a11 * v11 + a12 * v21,
                 a21 * v11 + a22 * v21,
                 a11 * v12 + a12 * v22,
@@ -105,9 +109,8 @@ def fixed_step_propagate(problem: Problem, lam, c,
     at the stored sample points (no dense interpolant)."""
     lam = complex(lam)
     c = float(c)
-    inner = [p for p in problem.discontinuities if 0.0 < p < c]
-    gaps = np.diff([0.0] + inner + [c])
-    min_gap = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else c
+    min_gap = min(min(piece.hi, c) - piece.lo
+                  for piece in problem.pieces if piece.lo < c)
     if config.step > min_gap / 10.0:
         raise ValueError(
             f"oracle step {config.step} exceeds a tenth of the smallest "
@@ -158,8 +161,6 @@ def compare_propagators(problem: Problem, lam, c, grid=None,
                         config: OracleConfig = OracleConfig()) -> ComparisonReport:
     """Frobenius-relative deviation between the adaptive propagator and
     the fixed-step oracle at the grid points."""
-    from .propagation import fundamental_matrix
-
     lam = complex(lam)
     c = float(c)
     if grid is None:

@@ -48,7 +48,6 @@ from .errors import (
     WeylCanonError,
 )
 from .measures import Problem
-from .quadrature import integrate
 
 __all__ = [
     "J",
@@ -257,28 +256,6 @@ def real_jump_dichotomy(dq, dw, lam) -> JumpDichotomy:
 # absolutely continuous evolution
 # --------------------------------------------------------------------------
 
-def segment_safe_entries(entries, x0, x1):
-    """Clamp evaluation points to the open interval between x0 and x1.
-
-    Integrators evaluate the right-hand side at segment endpoints, which
-    may sit exactly on a density breakpoint where step() returns its
-    balanced midpoint value; nudging by one ulp keeps every evaluation
-    on the smooth piece the segment belongs to.
-    """
-    lo, hi = (x0, x1) if x0 <= x1 else (x1, x0)
-    left = np.nextafter(lo, hi)
-    right = np.nextafter(hi, lo)
-
-    def safe(x):
-        if x <= lo:
-            x = left
-        elif x >= hi:
-            x = right
-        return entries(x)
-
-    return safe
-
-
 def _constant_flow(a, h):
     """exp(h A), flat like A = (a11, a12, a21, a22), for a constant A.
 
@@ -413,7 +390,7 @@ def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval):
             return np.array([c for u, v in columns
                              for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
     else:
-        entries = segment_safe_entries(problem.system_matrix(lam), x0, x1)
+        entries = problem.system_matrix(lam)
         inside = [float(t) for t in t_eval if min(x0, x1) < t < max(x0, x1)]
         xs, states = _magnus_solve(entries, x0, x1, columns,
                                    sorted(inside, reverse=x1 < x0))
@@ -520,7 +497,8 @@ def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
 
 class SampledSolution:
     """One solution u = U(.) @ coeff of the fundamental matrix; balanced
-    at atoms, dense everywhere else."""
+    at atoms, and elsewhere wherever the matrix evaluates (dense, or at
+    its samples only)."""
 
     def __init__(self, fm, coeff):
         self.fm = fm
@@ -722,10 +700,8 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
         u = fm.at(x)
         return u.conj().T @ problem.w.density(x) @ u
 
-    G = np.zeros((2, 2), dtype=complex)
-    bounds = [0.0] + [p for p in problem.discontinuities if 0.0 < p < c_max] + [c_max]
-    for lo, hi in zip(bounds, bounds[1:]):
-        G += integrate(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+    G = problem.integrate(integrand, 0.0, c_max,
+                          epsabs=1e-13, epsrel=1e-11, limit=200)
     G[1, 0] = np.conj(G[0, 1])
 
     for crossing in fm.crossings:

@@ -1,8 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature on a finite interval.
 
 One routine, ``integrate``, serves every integral of the package: the
-measure masses, the integrability probe near 0, tau's imaginary parts,
-the quadrature norm and the kernel Gram matrix.  Each interval gets the
+measure masses, the integrability probe near 0, and, one piece at a
+time through ``Problem.integrate``, tau's imaginary parts, the
+quadrature norm and the kernel Gram matrix.  Each interval gets the
 21-point Kronrod rule with its embedded 10-point Gauss rule, and the
 error estimate of QUADPACK's QK21 (Piessens, de Doncker-Kapenga,
 Ueberhuber, Kahaner, *QUADPACK*, Springer 1983): the Gauss-Kronrod

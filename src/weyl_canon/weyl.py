@@ -34,15 +34,16 @@ from .errors import (
 )
 from .measures import Problem
 from .propagation import (
+    RTOL,
     AtomCrossing,
     FundamentalMatrix,
     J,
     SampledSolution,
     bad_points,
     eta_solution,
+    fundamental_matrix,
     jump_matrices,
 )
-from .quadrature import integrate
 
 __all__ = [
     "M_INFINITY",
@@ -62,7 +63,6 @@ __all__ = [
     "m_from_boundary",
     "m_alt",
     "conjugate_fundamental",
-    "ConjugateSolution",
     "conjugate_solution",
 ]
 
@@ -87,20 +87,17 @@ class TauSample:
 
 
 def _imag12_integrals(problem: Problem, x_from, x_to):
-    """(int Im q12_ac, int Im w12_ac) over (x_from, x_to), split at the
-    density breakpoints; both are integrated at once, as the real and
-    imaginary part of one integrand."""
+    """(int Im q12_ac, int Im w12_ac) over (x_from, x_to), piece by
+    piece; both are integrated at once, as the real and imaginary part
+    of one integrand."""
     fq = problem.q._f12
     fw = problem.w._f12
 
     def integrand(t):
         return complex(fq(t).imag, fw(t).imag)
 
-    cuts = [p for p in problem.discontinuities if x_from < p < x_to]
-    bounds = [x_from] + cuts + [x_to]
-    total = sum(integrate(integrand, lo, hi,
-                          epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-                for lo, hi in zip(bounds, bounds[1:]))
+    total = problem.integrate(integrand, x_from, x_to,
+                              epsabs=1e-13, epsrel=1e-12, limit=200)
     return total.real, total.imag
 
 
@@ -209,11 +206,8 @@ def norm_quadrature(problem: Problem, sol: SampledSolution, c) -> NormValue:
              + 2.0 * (m12 * a.conjugate() * b).real)
         return v
 
-    bounds = [0.0] + [p for p in problem.discontinuities if 0.0 < p < c] + [c]
-    total = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        total += integrate(integrand, lo, hi,
-                           epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+    total = problem.integrate(integrand, 0.0, c,
+                              epsabs=1e-13, epsrel=1e-10, limit=200)
     for position, balanced in sol.balanced_atom_values(upto=c):
         dw = problem.delta_w(position)
         if np.any(dw):
@@ -287,8 +281,6 @@ def det_noise_ratio(entries) -> float:
     pure noise; values of this ratio well below 1 mean the determinant
     (and with it the disk radius) is trustworthy.
     """
-    from .propagation import RTOL
-
     A, B, C, D = entries
     det_u = A * D - B * C
     scale = abs(A * D) + abs(B * C)
@@ -341,8 +333,6 @@ def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
     """Relative gap between the geometric disk radius and
     |tau| / (2 |Im lam| ||psi||_c^2), with the psi norm computed by
     quadrature so that the two sides stay independent."""
-    from .propagation import fundamental_matrix
-
     lam = complex(lam)
     c = float(c)
     if fm is None:
@@ -402,26 +392,6 @@ def m_alt(problem: Problem, lam, c, beta) -> complex:
 # conjugate solutions
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjugateSolution:
-    """Samples of v with v-(x) = tau(x, conj lam) conj(u-(x)): a balanced
-    solution of the conj(lam) equation with v(0) = conj(u(0))."""
-
-    lam: complex              # the conjugated spectral parameter
-    xs: np.ndarray            # continuity sample points
-    values: np.ndarray        # balanced v at xs
-    atom_values: tuple        # (position, v_minus, v_plus, v_balanced)
-
-    def at(self, x):
-        for position, _, _, balanced in self.atom_values:
-            if position == x:
-                return balanced
-        k = int(np.argmin(np.abs(self.xs - x)))
-        if abs(self.xs[k] - x) > 1e-12 * max(1.0, abs(x)):
-            raise ValueError(f"x={x} is not a stored sample")
-        return self.values[k]
-
-
 def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
     """U(., conj lam) from U(., lam) without a second propagation.
 
@@ -459,14 +429,17 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
 
 
 def conjugate_solution(problem: Problem, sol: SampledSolution,
-                       xs=None) -> ConjugateSolution:
+                       xs=None) -> SampledSolution:
     """Transform a solution of the lam equation into one of the conj(lam)
     equation via v = tau(., conj lam) conj(u).
 
     Needs both lam and conj(lam) outside Lambda (the tau factors divide
-    by det B+ at conj lam, which equals conj(det B-) at lam).  One tau
-    profile over the sample points and the crossed atoms serves all
-    values.
+    by det B+ at conj lam, which equals conj(det B-) at lam).  The result
+    is the solution with coefficients conj(sol.coeff) of
+    ``conjugate_fundamental``, built from one tau profile over the
+    points ``xs`` (default: the samples of sol) and the crossed atoms: it
+    evaluates at 0, at those points and, one-sided or balanced, at the
+    atoms.
     """
     fm = sol.fm
     lam_c = np.conj(fm.lam)
@@ -476,11 +449,6 @@ def conjugate_solution(problem: Problem, sol: SampledSolution,
         raise BadPointError(report if report.in_lambda_set else report_c)
     if xs is None:
         xs = fm.xs
-    xs = np.asarray(xs, dtype=float)
-    points = sorted(set(xs.tolist()) | {cr.position for cr in fm.crossings})
+    points = sorted({float(x) for x in xs} | {cr.position for cr in fm.crossings})
     conj_fm = conjugate_fundamental(fm, tau_profile(problem, lam_c, points))
-    coeff = np.conj(sol.coeff)
-    values = np.array([conj_fm.at(x) @ coeff for x in xs])
-    atom_values = tuple((cr.position, cr.left @ coeff, cr.right @ coeff,
-                         cr.balanced @ coeff) for cr in conj_fm.crossings)
-    return ConjugateSolution(lam_c, xs, values, atom_values)
+    return SampledSolution(conj_fm, np.conj(sol.coeff))

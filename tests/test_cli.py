@@ -58,6 +58,16 @@ def test_validate_non_hermitian_atom_exit_2(runner, tmp_path):
     assert "q.atoms[0]" in result.output
 
 
+def test_validate_counts_only_discontinuities_inside(runner, tmp_path):
+    doc = {"b": 4, "alpha": 0, "q": {"breakpoints": [-1.0, 0.0, 4.0, 9.0]},
+           "w": {"d11": "1", "d22": "1"}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["validate", "--problem", str(path)])
+    assert result.exit_code == 0
+    assert "0 discontinuity point(s)" in result.output
+
+
 def test_validate_atom_outside_interval_exit_2(runner, tmp_path):
     doc = {"b": 1, "alpha": 0, "q": {},
            "w": {"d11": "1", "d22": "1",

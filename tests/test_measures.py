@@ -150,6 +150,41 @@ def test_constant_pieces_validated_over_the_whole_interval():
                 CoefficientMeasure(d11="1", d22="1"), validate=False)
 
 
+def test_breakpoints_outside_the_interval_are_dropped():
+    w = CoefficientMeasure(d11="1", d22="1")
+    p = Problem(4.0, 0.0, CoefficientMeasure(breakpoints=[-1.0, 0.0, 4.0, 9.0]), w)
+    assert p.discontinuities == ()
+    assert [(piece.lo, piece.hi) for piece in p.pieces] == [(0.0, 4.0)]
+
+
+def test_w_checked_on_constant_and_sampled_pieces_together():
+    # w is zero on the constant piece (0, 1) and nonzero only at samples
+    # of (1, 2), so the nonzero check has to see both kinds of piece
+    p = Problem(2.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="step(x-1)*(x-1)"))
+    assert p.pieces[0].constant and p.pieces[0].values[3:] == (0, 0, 0)
+    assert not p.pieces[1].constant
+    with pytest.raises(ValidationError, match="identically zero"):
+        Problem(2.0, 0.0, CoefficientMeasure(), CoefficientMeasure(d11="x-x"))
+
+
+def test_integrate_sums_one_quadrature_per_piece():
+    p = Problem(3.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+x*step(x-0.3)", d22="1",
+                                   atoms=[(2.75, np.eye(2))]))
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 + x * (x > 0.3)
+
+    got = p.integrate(f, 0.1, 2.9, epsabs=1e-13, epsrel=1e-12, limit=50)
+    assert got == pytest.approx(0.2 + 2.6 + (2.9 ** 2 - 0.3 ** 2) / 2, rel=1e-13)
+    # three pieces meet (0.1, 2.9), one 21-point rule on each
+    assert len(calls) == 63
+    assert p.integrate(f, 0.5, 0.5, epsabs=1e-13, epsrel=1e-12, limit=50) == 0
+
+
 def test_atom_positions_strictly_increasing():
     with pytest.raises(ValidationError, match="strictly increasing"):
         CoefficientMeasure(atoms=[(0.5, np.eye(2)), (0.5, np.eye(2))])

@@ -346,6 +346,26 @@ def test_conjugate_solution_solves_conjugate_equation(rng):
             assert rel_err(conj.at(x), want) < 1e-8
 
 
+def test_conjugate_solution_at_atoms_matches_direct_propagation(rng):
+    """One-sided and balanced values of v = tau(., conj lam) conj(u) at
+    each crossed atom equal those of the conj(lam) propagation."""
+    atoms_seen = 0
+    for _ in range(8):
+        p = random_piecewise_problem(rng, max_atoms=3)
+        lam = pick_lambda_outside_bad_set(p, rng)
+        fm = fundamental_matrix(p, lam, 5.9, grid=[1.0, 3.0, 5.9])
+        sol = fm.combination(0.37 - 0.21j)
+        conj = conjugate_solution(p, sol)
+        fm_c = fundamental_matrix(p, np.conj(lam), 5.9)
+        coeff = np.linalg.solve(fm_c.at(0.0), np.conj(sol.at(0.0)))
+        for x in p.atom_positions:
+            atoms_seen += 1
+            assert rel_err(conj.left_at(x), fm_c.left_at(x) @ coeff) < 1e-10
+            assert rel_err(conj.right_at(x), fm_c.right_at(x) @ coeff) < 1e-10
+            assert rel_err(conj.at(x), fm_c.at(x) @ coeff) < 1e-10
+    assert atoms_seen > 0
+
+
 def test_tau_at_zero_is_one():
     p, _ = builtin_example("bad_point_minus")
     s = tau(p, 1j, 0.0)
