@@ -326,13 +326,25 @@ class Problem:
         """The piece whose interval [lo, hi) holds x in [0, b)."""
         return self.pieces[bisect.bisect_right(self._piece_los, x) - 1]
 
-    def integrate(self, f, lo, hi, epsabs, epsrel, limit):
-        """Integral of f over (lo, hi) in (0, b): one adaptive quadrature
-        on each piece that meets (lo, hi), so that no quadrature spans a
-        discontinuity, summed from left to right."""
-        return sum(integrate(f, max(piece.lo, lo), min(piece.hi, hi),
-                             epsabs, epsrel, limit)[0]
-                   for piece in self.pieces if piece.lo < hi and lo < piece.hi)
+    def integrate(self, f, lo, hi, epsabs, epsrel, limit, piece_integral=None):
+        """Integral of f over (lo, hi) in (0, b), summed piece by piece from
+        left to right, so that no quadrature spans a discontinuity.
+
+        ``piece_integral(piece, a, b)``, where given, returns the integral
+        of f over the part (a, b) of ``piece`` from what ``piece.values``
+        already holds (an entry's constant value times b - a, say), or
+        None where f still depends on x there.  f is integrated by one
+        adaptive quadrature at the given tolerances on each piece where
+        it returns None, and only there."""
+        total = 0
+        for piece in self.pieces:
+            if piece.lo < hi and lo < piece.hi:
+                a, b = max(piece.lo, lo), min(piece.hi, hi)
+                value = None if piece_integral is None else piece_integral(piece, a, b)
+                if value is None:
+                    value = integrate(f, a, b, epsabs, epsrel, limit)[0]
+                total = total + value
+        return total
 
     # -- validation --------------------------------------------------------
 
@@ -342,12 +354,13 @@ class Problem:
             np.geomspace(hi * 1e-4, hi * 0.05, 24),
             np.linspace(hi * 0.06, hi * 0.995, 96),
         ])
-        # probe just next to every discontinuity as well
+        # probe just next to every discontinuity as well; the left probe
+        # stays in (0, p) also for a discontinuity below the offset
         extra = []
         for p in self.discontinuities:
             if p < hi:
                 eps = 1e-6 * max(1.0, p)
-                extra.extend([p - eps, p + eps])
+                extra.extend([max(p - eps, 0.5 * p), p + eps])
         return np.concatenate([grid, extra]) if extra else grid
 
     def _validate(self, entries):

@@ -47,7 +47,7 @@ from .errors import (
     SingularForwardJumpError,
     WeylCanonError,
 )
-from .measures import Problem
+from .measures import Problem, _density_matrix
 
 __all__ = [
     "J",
@@ -687,8 +687,14 @@ class KernelGram:
 
 
 def kernel_gram(problem: Problem, c_max) -> KernelGram:
-    """One matrix quadrature of U(.,0)* w U(.,0) per piece, plus the
-    balanced atom terms."""
+    """G(c_max) piece by piece, plus the balanced atom terms.
+
+    At lambda = 0, A = Jq vanishes on a piece where q = 0, so U(.,0) is
+    the constant u there and the piece contributes u* (int w) u, with
+    int w exact where w is constant and one matrix quadrature of the
+    density where it is not.  On every other piece U(.,0)* w U(.,0) is
+    integrated by one matrix quadrature.
+    """
     c_max = float(c_max)
     report = bad_points(problem, 0.0)
     if report.in_lambda_set:
@@ -700,8 +706,20 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
         u = fm.at(x)
         return u.conj().T @ problem.w.density(x) @ u
 
-    G = problem.integrate(integrand, 0.0, c_max,
-                          epsabs=1e-13, epsrel=1e-11, limit=200)
+    def constant_w(piece, lo, hi):
+        w = piece.values[3:]
+        return None if None in w else _density_matrix(*w) * (hi - lo)
+
+    def constant_u(piece, lo, hi):
+        if piece.values[:3] != (0, 0, 0):
+            return None
+        u = fm.at(0.5 * (lo + hi))
+        w = problem.integrate(problem.w.density, lo, hi, epsabs=1e-13,
+                              epsrel=1e-11, limit=200, piece_integral=constant_w)
+        return u.conj().T @ w @ u
+
+    G = problem.integrate(integrand, 0.0, c_max, epsabs=1e-13, epsrel=1e-11,
+                          limit=200, piece_integral=constant_u)
     G[1, 0] = np.conj(G[0, 1])
 
     for crossing in fm.crossings:

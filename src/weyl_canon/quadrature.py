@@ -2,8 +2,9 @@
 
 One routine, ``integrate``, serves every integral of the package: the
 measure masses, the integrability probe near 0, and, one piece at a
-time through ``Problem.integrate``, tau's imaginary parts, the
-quadrature norm and the kernel Gram matrix.  Each interval gets the
+time through ``Problem.integrate``, the quadrature norm, and tau's
+imaginary parts and the kernel Gram matrix on the pieces where the
+piece table does not already give them.  Each interval gets the
 21-point Kronrod rule with its embedded 10-point Gauss rule, and the
 error estimate of QUADPACK's QK21 (Piessens, de Doncker-Kapenga,
 Ueberhuber, Kahaner, *QUADPACK*, Springer 1983): the Gauss-Kronrod
@@ -74,6 +75,9 @@ _NODES = tuple(-x for x in _XK[:10]) + _XK
 _WK21 = _WK[:10] + _WK
 _WG21 = 2 * tuple(0.0 if j % 2 == 0 else _WG[j // 2] for j in range(10)) + (0.0,)
 
+# The same weights as arrays, rows (Kronrod, Gauss), for array integrands.
+_WEIGHTS = np.array([_WK21, _WG21])
+
 _EPS = 2.220446049250313e-16
 
 
@@ -87,10 +91,16 @@ def _kronrod21(f, a, b):
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     values = [f(centre + half * t) for t in _NODES]
-    resk = sum(map(mul, _WK21, values))
-    resg = sum(map(mul, _WG21, values))
-    resabs = _size(sum(map(mul, _WK21, map(abs, values))))
-    resasc = _size(sum(map(mul, _WK21, map(abs, map(sub, values, repeat(0.5 * resk))))))
+    if isinstance(values[0], np.ndarray):
+        stacked = np.stack(values)
+        resk, resg = np.tensordot(_WEIGHTS, stacked, 1)
+        resabs = _size(np.tensordot(_WEIGHTS[0], np.abs(stacked), 1))
+        resasc = _size(np.tensordot(_WEIGHTS[0], np.abs(stacked - 0.5 * resk), 1))
+    else:
+        resk = sum(map(mul, _WK21, values))
+        resg = sum(map(mul, _WG21, values))
+        resabs = _size(sum(map(mul, _WK21, map(abs, values))))
+        resasc = _size(sum(map(mul, _WK21, map(abs, map(sub, values, repeat(0.5 * resk))))))
     h = abs(half)
     err = _size(resk - resg) * h
     resasc *= h

@@ -88,16 +88,24 @@ class TauSample:
 
 def _imag12_integrals(problem: Problem, x_from, x_to):
     """(int Im q12_ac, int Im w12_ac) over (x_from, x_to), piece by
-    piece; both are integrated at once, as the real and imaginary part
-    of one integrand."""
+    piece, as the real and imaginary part of one integral: exactly,
+    (Im q12, Im w12) times the length, on a piece where ``Piece.values``
+    holds both entries, and by quadrature of both at once elsewhere."""
     fq = problem.q._f12
     fw = problem.w._f12
 
     def integrand(t):
         return complex(fq(t).imag, fw(t).imag)
 
+    def exact(piece, lo, hi):
+        q12, w12 = piece.values[1], piece.values[4]
+        if q12 is None or w12 is None:
+            return None
+        return complex(q12.imag, w12.imag) * (hi - lo)
+
     total = problem.integrate(integrand, x_from, x_to,
-                              epsabs=1e-13, epsrel=1e-12, limit=200)
+                              epsabs=1e-13, epsrel=1e-12, limit=200,
+                              piece_integral=exact)
     return total.real, total.imag
 
 

@@ -16,6 +16,20 @@ def rel_err(got, want):
     return float(np.linalg.norm(got - want)) / scale
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns
+    the list of records."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def piecewise_expr(values, breaks):
     """AST for v0 + sum (v_{k+1} - v_k) step(x - break_k)."""
     node = Literal(complex(values[0]))

@@ -185,6 +185,38 @@ def test_integrate_sums_one_quadrature_per_piece():
     assert p.integrate(f, 0.5, 0.5, epsabs=1e-13, epsrel=1e-12, limit=50) == 0
 
 
+def test_integrate_runs_quadrature_only_where_the_piece_integral_is_unknown():
+    p = Problem(3.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+x*step(x-0.3)", d22="1",
+                                   atoms=[(2.75, np.eye(2))]))
+    calls, asked = [], []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 + x * (x > 0.3)
+
+    def known(piece, lo, hi):
+        asked.append((lo, hi))
+        d11 = piece.values[3]
+        return None if d11 is None else d11.real * (hi - lo)
+
+    got = p.integrate(f, 0.1, 2.9, epsabs=1e-13, epsrel=1e-12, limit=50,
+                      piece_integral=known)
+    assert got == pytest.approx(0.2 + 2.6 + (2.9 ** 2 - 0.3 ** 2) / 2, rel=1e-13)
+    assert asked == [(0.1, 0.3), (0.3, 2.75), (2.75, 2.9)]
+    # only the x-dependent pieces (0.3, 2.75) and (2.75, 2.9) are sampled
+    assert len(calls) == 42 and min(calls) > 0.3
+
+
+def test_validation_probes_stay_inside_the_interval_next_to_tiny_steps():
+    # the probe left of a step below 1e-6 used to be a negative x, where
+    # validation evaluated log(x) on the last piece
+    for root in ("1e-7", "1e-5"):
+        p = Problem(2.0, 0.0, CoefficientMeasure(d11="log(x)"),
+                    CoefficientMeasure(d11=f"1+x*step(x-{root})", d22="1"))
+        assert p.discontinuities == (float(root),)
+
+
 def test_atom_positions_strictly_increasing():
     with pytest.raises(ValidationError, match="strictly increasing"):
         CoefficientMeasure(atoms=[(0.5, np.eye(2)), (0.5, np.eye(2))])

@@ -6,7 +6,7 @@ import pytest
 
 import weyl_canon.oracle as oracle_module
 import weyl_canon.propagation as propagation_module
-from weyl_canon.catalog import builtin_example
+from weyl_canon.catalog import builtin_example, catalog_names
 from weyl_canon.classify import trace_disks
 from weyl_canon.errors import (
     BadPointError,
@@ -17,6 +17,7 @@ from weyl_canon.errors import (
 from weyl_canon.measures import CoefficientMeasure, Problem
 from weyl_canon.oracle import OracleConfig, compare_propagators, fixed_step_propagate
 from weyl_canon.propagation import (
+    FundamentalMatrix,
     J,
     JumpDichotomy,
     bad_points,
@@ -29,9 +30,11 @@ from weyl_canon.propagation import (
     rotation,
     transfer_across_atom,
 )
+from weyl_canon.quadrature import integrate
 from weyl_canon.weyl import m_alt, solution_norm_sq
 
 from conftest import (
+    count_calls,
     pick_lambda_outside_bad_set,
     random_hermitian,
     random_piecewise_problem,
@@ -330,20 +333,8 @@ def test_overflow_past_a_break_raises_on_every_route():
             route()
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_constant_pieces_never_call_the_ode_solver(rng, monkeypatch):
-    solves = _count_calls(monkeypatch, propagation_module, "_magnus_solve")
+    solves = count_calls(monkeypatch, propagation_module, "_magnus_solve")
     p = random_piecewise_problem(rng)
     lam = pick_lambda_outside_bad_set(p, rng)
     trace = trace_disks(p, lam, np.geomspace(0.25, 5.0, 12))
@@ -359,7 +350,7 @@ def test_constant_pieces_never_call_the_ode_solver(rng, monkeypatch):
 
 
 def test_oracle_marches_on_constant_pieces(monkeypatch):
-    marches = _count_calls(monkeypatch, oracle_module, "_march")
+    marches = count_calls(monkeypatch, oracle_module, "_march")
     p, _ = builtin_example("free_identity")
     report = compare_propagators(p, 1j, 1.0, config=OracleConfig(step=1e-3))
     assert len(marches) >= 8
@@ -532,3 +523,38 @@ def test_kernel_gram_checks_lambda_zero_bad_points():
                 CoefficientMeasure(d11="1"))
     with pytest.raises(BadPointError):
         kernel_gram(p, 2.0)
+
+
+def _gram_by_quadrature(p, c):
+    """G(c) from the U(.,0)* w U(.,0) integrand on each piece and the
+    balanced atom terms, integrated here apart from kernel_gram."""
+    fm = fundamental_matrix(p, 0.0, c)
+
+    def integrand(x):
+        u = fm.at(x)
+        return u.conj().T @ p.w.density(x) @ u
+
+    cuts = [0.0] + [x for x in p.discontinuities if x < c] + [c]
+    G = sum(integrate(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(cuts, cuts[1:]))
+    for crossing in fm.crossings:
+        ub = crossing.balanced
+        G = G + ub.conj().T @ p.delta_w(crossing.position) @ ub
+    return G
+
+
+def test_kernel_gram_reads_u_once_per_piece_where_q_is_zero(monkeypatch):
+    problems = [builtin_example(name)[0] for name in catalog_names()]
+    problems.append(builtin_example("lesch_malamud", a=0.0)[0])
+    problems.append(Problem(
+        4.0, 0.7, CoefficientMeasure(),
+        CoefficientMeasure(d11="2+sin(x)+step(x-1.5)", d12="0.4*i*exp(-x)+0.1*x",
+                           d22="1", atoms=[(0.75, [[1, 0.5j], [-0.5j, 1]])])))
+    for p in problems:
+        c = 3.0
+        want = _gram_by_quadrature(p, c)
+        calls = count_calls(monkeypatch, FundamentalMatrix, "at")
+        got = kernel_gram(p, c).matrix
+        monkeypatch.undo()
+        assert len(calls) <= sum(piece.lo < c for piece in p.pieces)
+        assert rel_err(got, want) <= 1e-12

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import weyl_canon.measures as measures_module
 from weyl_canon.catalog import builtin_example
+from weyl_canon.classify import default_c_grid
 from weyl_canon.errors import (
     DegenerateHalfPlaneError,
     DegenerateUError,
@@ -29,7 +31,12 @@ from weyl_canon.weyl import (
     weyl_set,
 )
 
-from conftest import pick_lambda_outside_bad_set, random_piecewise_problem, rel_err
+from conftest import (
+    count_calls,
+    pick_lambda_outside_bad_set,
+    random_piecewise_problem,
+    rel_err,
+)
 
 
 # -- tau ---------------------------------------------------------------------
@@ -42,6 +49,26 @@ def test_tau_raises_when_its_quadrature_does_not_converge():
     assert abs(tau(p, 1j, 1.0).value) == pytest.approx(1.0)
     with pytest.raises(IntegrationFailureError, match="200 intervals"):
         tau(p, 1j, 30.0)
+
+
+def test_tau_profile_is_exact_where_w12_is_constant():
+    # Im w12 = -1 on the one piece: the exponent is the grid point itself
+    for name, params in (("lesch_malamud", {"a": 1.0}), ("constant_w", {})):
+        p, rec = builtin_example(name, **params)
+        grid = default_c_grid(p)
+        for lam in (1j, 2j, 0.5 - 1j, -0.5 + 0.5j):
+            for s in tau_profile(p, lam, grid):
+                assert rel_err(s.value, rec.tau(s.x, lam)) <= 1e-15
+
+
+def test_tau_profile_needs_no_quadrature_on_constant_pieces(rng, monkeypatch):
+    problems = [random_piecewise_problem(rng) for _ in range(4)]
+    calls = count_calls(monkeypatch, measures_module, "integrate")
+    for p in problems:
+        lam = pick_lambda_outside_bad_set(p, rng)
+        samples = tau_profile(p, lam, np.geomspace(0.25, 7.5, 12))
+        assert all(math.isfinite(abs(s.value)) for s in samples)
+    assert calls == []
 
 
 def test_tau_is_one_for_real_coefficients(rng):
