@@ -92,6 +92,8 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
     so every c is a continuity point.
     """
     count = 24 if count is None else int(count)
+    if count < 1:
+        raise ValueError(f"the c grid needs at least one point, got count={count}")
     if c0 is None:
         c0 = min(1.0, problem.b / 10.0)
     if math.isfinite(problem.b):
@@ -119,12 +121,23 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
     return perturb_off_atoms(grid, problem)
 
 
+def _truncation_grid(problem, c_grid):
+    """(grid, policy): the default grid when c_grid is None, else the
+    caller's grid nudged off atoms; either must be non-empty and strictly
+    increasing."""
+    grid = (default_c_grid(problem) if c_grid is None
+            else perturb_off_atoms(c_grid, problem))
+    if grid.size < 1 or np.any(np.diff(grid) <= 0):
+        raise ValueError("c grid must be non-empty and strictly increasing")
+    return grid, "default" if c_grid is None else "caller"
+
+
 def perturb_off_atoms(grid, problem: Problem) -> np.ndarray:
     """Nudge grid points that collide with an atom by +1e-9 of the local
     gap, so every truncation point is a continuity point."""
     grid = np.array(grid, dtype=float)
     atoms = problem.atom_positions
-    if atoms:
+    if atoms and grid.size:
         spacing = np.diff(grid, prepend=grid[0] * 0.5) if grid.size > 1 \
             else np.array([max(grid[0] * 0.5, 1e-3)])
         for i, c in enumerate(grid):
@@ -187,13 +200,13 @@ def trace_disks(problem: Problem, lam, c_grid=None) -> DiskTrace:
     conj(lam) when Im lam < 0: the entries there are
     tau(c, lam) conj(U(c, conj lam)), with tau from the trace's own
     profile."""
-    return _traces(problem, (complex(lam),), c_grid)[0]
+    return _traces(problem, (complex(lam),), *_truncation_grid(problem, c_grid))[0]
 
 
-def _traces(problem, lams, c_grid):
-    """Disk traces at each of ``lams``, all equal to lam_up or to its
-    conjugate for one lam_up with Im lam_up > 0, from a single
-    propagation at lam_up.  Checks every lam against Lambda first;
+def _traces(problem, lams, c_grid, policy):
+    """Disk traces over ``c_grid`` at each of ``lams``, all equal to
+    lam_up or to its conjugate for one lam_up with Im lam_up > 0, from a
+    single propagation at lam_up.  Checks every lam against Lambda first;
     conj(lam) lies in Lambda exactly when lam does, since
     det B+-(conj lam) = conj det B-+(lam).  A trace stops where det U
     falls below the float64 noise floor; that point does not depend on
@@ -204,15 +217,6 @@ def _traces(problem, lams, c_grid):
         report = bad_points(problem, lam)
         if report.in_lambda_set:
             raise BadPointError(report)
-
-    policy = "default"
-    if c_grid is None:
-        c_grid = default_c_grid(problem)
-    else:
-        c_grid = perturb_off_atoms(np.asarray(c_grid, dtype=float), problem)
-        policy = "caller"
-    if c_grid.size < 1 or np.any(np.diff(c_grid) <= 0):
-        raise ValueError("c grid must be non-empty and strictly increasing")
 
     lam_up = complex(lams[0].real, abs(lams[0].imag))
     fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
@@ -529,12 +533,12 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
         raise ValueError("deficiency indices need Im lam != 0")
     lam_up = lam if lam.imag > 0 else lam.conjugate()
 
-    if c_grid is None:
-        c_grid = default_c_grid(problem)
+    c_grid, policy = _truncation_grid(problem, c_grid)
     defres = definiteness(problem, c_max=float(c_grid[-1]))
     d = defres.dim_null_space
 
-    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()), c_grid)
+    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()),
+                                 c_grid, policy)
     (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(
         problem, trace_up, config)
     (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(

@@ -12,7 +12,6 @@ safe to share between threads.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -132,7 +131,7 @@ class CoefficientMeasure:
     """
 
     __slots__ = ("d11", "d12", "d22", "atoms", "breakpoints",
-                 "_f11", "_f12", "_f22", "_ftuple", "_mass_cache")
+                 "_ftuple", "_mass_cache")
 
     def __init__(self, d11="0", d12="0", d22="0", atoms=(), breakpoints=()):
         self.d11 = _as_expr(d11)
@@ -155,9 +154,7 @@ class CoefficientMeasure:
         self.atoms = tuple(normalized)
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
 
-        f = self._ftuple = compile_tuple(self.d11, self.d12, self.d22)
-        self._f11, self._f12, self._f22 = (
-            (lambda x, k=k: f(x)[k]) for k in range(3))
+        self._ftuple = compile_tuple(self.d11, self.d12, self.d22)
         self._mass_cache = {}
 
     # -- evaluation --------------------------------------------------------
@@ -182,24 +179,15 @@ class CoefficientMeasure:
         return np.zeros((2, 2), dtype=complex)
 
     def mass(self, a, b) -> float:
-        """Frobenius total-variation estimate of the measure on (a, b);
-        used only for scale-aware tolerances."""
+        """Memoized quadrature of the density's Frobenius norm over (a, b),
+        which must hold no atom or jump; for scale-aware tolerances only."""
         key = (a, b)
         if key not in self._mass_cache:
             def frob(x):
                 m11, m12, m22 = self.density_entries(x)
                 return math.sqrt(m11 * m11 + 2 * abs(m12) ** 2 + m22 * m22)
 
-            pieces = [a] + [p for p in sorted(set(self.breakpoints) |
-                                              set(self.atom_positions))
-                            if a < p < b] + [b]
-            total = 0.0
-            for lo, hi in zip(pieces, pieces[1:]):
-                total += integrate(frob, lo, hi, limit=100)[0]
-            for atom in self.atoms:
-                if a < atom.position < b:
-                    total += float(np.linalg.norm(atom.matrix))
-            self._mass_cache[key] = total
+            self._mass_cache[key] = integrate(frob, a, b, limit=100)[0]
         return self._mass_cache[key]
 
     # -- serialization -----------------------------------------------------
@@ -226,25 +214,22 @@ class CoefficientMeasure:
 _ENTRY_LABELS = ("q.d11", "q.d12", "q.d22", "w.d11", "w.d12", "w.d22")
 
 
-def _system(lam, qf, wf):
-    """x -> flat A(x) = J (q - lam w) = (a11, a12, a21, a22), from the
-    callables x -> (d11, d12, d22) of q and w; diagonals are projected to
-    their real parts.
+def _system(lam, q, w):
+    """Flat A = J (q - lam w) = (a11, a12, a21, a22) from the entries
+    (d11, d12, d22) of q and of w at one point; diagonals are projected
+    to their real parts.
 
     The system J u' + q u = lam w u rewrites as u' = J (q - lam w) u on
     atom-free intervals because J^{-1} = -J exactly.
     """
-    def entries(x):
-        q11, q12, q22 = qf(x)
-        w11, w12, w22 = wf(x)
-        m11 = complex(q11).real - lam * complex(w11).real
-        m12 = complex(q12) - lam * complex(w12)
-        m21 = complex(q12).conjugate() - lam * complex(w12).conjugate()
-        m22 = complex(q22).real - lam * complex(w22).real
-        # J @ M with J = [[0, -1], [1, 0]]
-        return (-m21, -m22, m11, m12)
-
-    return entries
+    q11, q12, q22 = q
+    w11, w12, w22 = w
+    m11 = complex(q11).real - lam * complex(w11).real
+    m12 = complex(q12) - lam * complex(w12)
+    m21 = complex(q12).conjugate() - lam * complex(w12).conjugate()
+    m22 = complex(q22).real - lam * complex(w22).real
+    # J @ M with J = [[0, -1], [1, 0]]
+    return (-m21, -m22, m11, m12)
 
 
 class Piece(NamedTuple):
@@ -276,10 +261,11 @@ class Problem:
     ``discontinuities`` holds the points of (0, b) that are atom
     positions, declared breakpoints or roots of a ``step`` argument that
     is affine in x; declared breakpoints outside (0, b) are ignored.
-    ``pieces`` splits (0, b) there, and validation and every integral
-    over x (``integrate``) go through it.  It does not depend on lambda
-    and is built once, also when validate is False; an entry that is
-    constant on a piece but undefined there is rejected then too.
+    ``pieces`` splits (0, b) there.  It does not depend on lambda and is
+    built once, also when validate is False; an entry that is constant
+    on a piece but undefined there is rejected then too.  ``spans`` clips
+    it to a range for validation, every integral over x (``integrate``),
+    the propagation walker and the oracle.
     """
 
     def __init__(self, b, alpha, q: CoefficientMeasure, w: CoefficientMeasure,
@@ -300,7 +286,6 @@ class Problem:
         points.update(r for e in entries for r in step_roots(e))
         self.discontinuities = tuple(sorted(p for p in points if 0.0 < p < self.b))
         self.pieces = self._build_pieces(entries)
-        self._piece_los = [piece.lo for piece in self.pieces]
         if validate:
             self._validate(entries)
 
@@ -322,28 +307,31 @@ class Problem:
             pieces.append(Piece(lo, hi, tuple(values)))
         return tuple(pieces)
 
-    def _piece_at(self, x) -> Piece:
-        """The piece whose interval [lo, hi) holds x in [0, b)."""
-        return self.pieces[bisect.bisect_right(self._piece_los, x) - 1]
+    def spans(self, lo, hi):
+        """Yield (piece, a, b), left to right, for every piece that meets
+        (lo, hi), with (a, b) the part of the piece inside (lo, hi);
+        nothing when lo >= hi.  The only clipping of ``pieces``."""
+        if lo < hi:
+            for piece in self.pieces:
+                if piece.lo < hi and lo < piece.hi:
+                    yield piece, max(piece.lo, lo), min(piece.hi, hi)
 
     def integrate(self, f, lo, hi, epsabs, epsrel, limit, piece_integral=None):
-        """Integral of f over (lo, hi) in (0, b), summed piece by piece from
-        left to right, so that no quadrature spans a discontinuity.
+        """Integral of f over (lo, hi) in (0, b), summed over ``spans``
+        from left to right, so that no quadrature spans a discontinuity.
 
         ``piece_integral(piece, a, b)``, where given, returns the integral
-        of f over the part (a, b) of ``piece`` from what ``piece.values``
+        of f over the span (a, b) of ``piece`` from what ``piece.values``
         already holds (an entry's constant value times b - a, say), or
         None where f still depends on x there.  f is integrated by one
-        adaptive quadrature at the given tolerances on each piece where
+        adaptive quadrature at the given tolerances on each span where
         it returns None, and only there."""
         total = 0
-        for piece in self.pieces:
-            if piece.lo < hi and lo < piece.hi:
-                a, b = max(piece.lo, lo), min(piece.hi, hi)
-                value = None if piece_integral is None else piece_integral(piece, a, b)
-                if value is None:
-                    value = integrate(f, a, b, epsabs, epsrel, limit)[0]
-                total = total + value
+        for piece, a, b in self.spans(lo, hi):
+            value = None if piece_integral is None else piece_integral(piece, a, b)
+            if value is None:
+                value = integrate(f, a, b, epsabs, epsrel, limit)[0]
+            total = total + value
         return total
 
     # -- validation --------------------------------------------------------
@@ -388,15 +376,13 @@ class Problem:
                     raise ValidationError(f"{label}: {exc}") from None
             return f"at x={x:.6g}", values
 
-        held = {}
-        for x in self._sample_grid():
-            held.setdefault(self._piece_at(x).lo, []).append(x)
+        grid = self._sample_grid()
         nonzero = any(np.any(a.matrix) for a in self.w.atoms)
         for piece in self.pieces:
             if piece.constant:
                 checks = [(f"on ({piece.lo:.6g}, {piece.hi:.6g})", piece.values)]
             else:
-                checks = map(sampled, held.get(piece.lo, ()))
+                checks = map(sampled, grid[(piece.lo <= grid) & (grid < piece.hi)])
             for where, values in checks:
                 for k in (0, 2, 3, 5):
                     if _not_real(values[k]):
@@ -412,12 +398,11 @@ class Problem:
             raise ValidationError("w is identically zero")
 
         c0 = min(1.0, self.b / 2.0)
-        functions = (self.q._f11, self.q._f12, self.q._f22,
-                     self.w._f11, self.w._f12, self.w._f22)
-        for label, fn, value in zip(_ENTRY_LABELS, functions,
-                                    self.pieces[0].values):
+        for k, value in enumerate(self.pieces[0].values):
             if value is None:
-                self._check_integrable_near_zero(label, fn, c0)
+                f = (self.q if k < 3 else self.w)._ftuple
+                self._check_integrable_near_zero(
+                    _ENTRY_LABELS[k], lambda x, f=f, k=k % 3: f(x)[k], c0)
 
     @staticmethod
     def _check_integrable_near_zero(label, fn, c0):
@@ -473,23 +458,19 @@ class Problem:
         return self.w.delta(x)
 
     def system_matrix(self, lam):
-        """Return A(x) with u' = A u between atoms, as a flat 2x2 tuple
-        (a11, a12, a21, a22)."""
-        return _system(complex(lam), self.q._ftuple, self.w._ftuple)
-
-    def constant_system(self, lam, x0, x1):
-        """The constant A of system_matrix on the open interval between
-        x0 and x1 when one piece holds it and A is constant there (q is,
-        and w is or lam = 0), else None."""
+        """Return x -> A(x) with u' = A u between atoms, as a flat 2x2
+        tuple (a11, a12, a21, a22)."""
         lam = complex(lam)
-        lo, hi = (x0, x1) if x0 <= x1 else (x1, x0)
-        piece = self._piece_at(lo)
-        q, w = piece.values[:3], piece.values[3:]
-        if lam == 0:
-            w = (0, 0, 0)   # w does not enter A
-        if hi > piece.hi or None in q + w:
-            return None
-        return _system(lam, lambda x: q, lambda x: w)(lo)
+        fq, fw = self.q._ftuple, self.w._ftuple
+        return lambda x: _system(lam, fq(x), fw(x))
+
+    def constant_system(self, lam, piece):
+        """The constant A of system_matrix on ``piece`` when it is
+        constant there (q is, and w is or lam = 0), else None."""
+        lam = complex(lam)
+        q = piece.values[:3]
+        w = (0, 0, 0) if lam == 0 else piece.values[3:]   # w does not enter A at 0
+        return None if None in q + w else _system(lam, q, w)
 
     def w_mass(self, c) -> float:
         """Frobenius total-variation scale of w on (0, c), summed over the
@@ -498,15 +479,12 @@ class Problem:
         c = float(c)
         total = sum(float(np.linalg.norm(a.matrix))
                     for a in self.w.atoms if a.position < c)
-        for piece in self.pieces:
-            if piece.lo >= c:
-                break
-            hi = min(piece.hi, c)
+        for piece, lo, hi in self.spans(0.0, c):
             w11, w12, w22 = piece.values[3:]
             if None in (w11, w12, w22):
-                total += self.w.mass(piece.lo, hi)
+                total += self.w.mass(lo, hi)
             else:
-                total += (hi - piece.lo) * math.sqrt(
+                total += (hi - lo) * math.sqrt(
                     w11.real ** 2 + 2 * abs(w12) ** 2 + w22.real ** 2)
         return total
 

@@ -109,15 +109,14 @@ def fixed_step_propagate(problem: Problem, lam, c,
     at the stored sample points (no dense interpolant)."""
     lam = complex(lam)
     c = float(c)
-    min_gap = min(min(piece.hi, c) - piece.lo
-                  for piece in problem.pieces if piece.lo < c)
+    min_gap = min(b - a for _, a, b in problem.spans(0.0, c))
     if config.step > min_gap / 10.0:
         raise ValueError(
             f"oracle step {config.step} exceeds a tenth of the smallest "
             f"segment ({min_gap}); refine the step")
     entries = problem.system_matrix(lam)
 
-    def solve(lo, hi, flat, t_eval):
+    def solve(piece, lo, hi, flat, t_eval):
         state = tuple(flat)     # (u11, u21, u12, u22)
         states = [state]
         for x0, x1 in zip(t_eval, t_eval[1:]):

@@ -17,9 +17,9 @@ transfer has rank 1).  Balanced values (u- + u+)/2 are stored at every
 atom because the measure-theoretic solutions are balanced functions.
 
 One walker, ``_walk``, carries a vector or a matrix of columns between
-two points in either direction: a per-piece stepper between
-discontinuities, the transfer B+^{-1} B- (forward) or B-^{-1} B+
-(backward) at each atom strictly inside.  ``fundamental_matrix``,
+two points in either direction: a per-piece stepper over each of the
+``Problem.spans`` between them, the transfer B+^{-1} B- (forward) or
+B-^{-1} B+ (backward) at each atom strictly inside.  ``fundamental_matrix``,
 ``eta_solution`` and ``evolve_ac`` run it with the exact / Magnus
 stepper ``_solve_segment``, and the fixed-step oracle with its own.
 
@@ -48,6 +48,7 @@ from .errors import (
     WeylCanonError,
 )
 from .measures import Problem, _density_matrix
+from .quadrature import integrate
 
 __all__ = [
     "J",
@@ -374,16 +375,16 @@ def _magnus_solve(entries, x0, x1, columns, targets):
     return xs, states
 
 
-def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval):
+def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
     """Propagate the flat complex state (the two components of each
-    column in turn) from x0 to x1, in either direction, with no
-    discontinuity strictly inside.  Returns (states at t_eval, dense
-    callable x -> state): exact on a constant piece, adaptive Magnus
-    steps elsewhere, where a dense value is one step from the nearest
-    accepted node."""
+    column in turn) from x0 to x1, in either direction, inside ``piece``;
+    t_eval runs from x0 through points strictly inside to x1.  Returns
+    (states at t_eval, dense callable x -> state): exact where the
+    piece's entries make A constant, adaptive Magnus steps elsewhere,
+    where a dense value is one step from the nearest accepted node."""
     y0 = np.ascontiguousarray(y0_complex, dtype=complex)
     columns = [(complex(u), complex(v)) for u, v in y0.reshape(-1, 2)]
-    a = problem.constant_system(lam, x0, x1)
+    a = problem.constant_system(lam, piece)
     if a is not None:
         def dense(x):
             p11, p12, p21, p22 = _constant_flow(a, float(x) - x0)
@@ -391,9 +392,7 @@ def _solve_segment(problem, lam, x0, x1, y0_complex, t_eval):
                              for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
     else:
         entries = problem.system_matrix(lam)
-        inside = [float(t) for t in t_eval if min(x0, x1) < t < max(x0, x1)]
-        xs, states = _magnus_solve(entries, x0, x1, columns,
-                                   sorted(inside, reverse=x1 < x0))
+        xs, states = _magnus_solve(entries, x0, x1, columns, t_eval[1:-1])
         if x1 < x0:
             xs, states = xs[::-1], states[::-1]
 
@@ -432,32 +431,29 @@ class _Segment(NamedTuple):
 
 def _walk(problem, lam, x0, x1, state, solve, samples=frozenset()):
     """Carry ``state``, one solution vector or a matrix of solution
-    columns, from x0 to x1 in either direction.
+    columns, from x0 to x1 in either direction, both in [0, b].
 
-    ``solve(lo, hi, flat, t_eval)`` carries the state, flattened by
-    columns, over one piece between discontinuities and returns (states
-    at t_eval, dense callable or None); t_eval runs from lo through the
-    ``samples`` strictly inside to hi.  At each atom strictly between x0
-    and x1 the state is carried across by B+^{-1} B- forward and by
-    B-^{-1} B+ backward; an atom at x0 or x1 is not crossed.  Every
-    value is checked to be finite.  Returns (state at x1, {x: state}
-    for the samples passed, crossings, segments), the last two in walk
-    order.
+    The walk visits the ``Problem.spans`` between x0 and x1, in reverse
+    for a backward walk.  ``solve(piece, lo, hi, flat, t_eval)`` carries
+    the state, flattened by columns, over one span (lo, hi) of ``piece``
+    and returns (states at t_eval, dense callable or None); t_eval runs
+    from lo through the ``samples`` strictly inside to hi.  At each atom
+    strictly between x0 and x1 the state is carried across by
+    B+^{-1} B- forward and by B-^{-1} B+ backward; an atom at x0 or x1
+    is not crossed.  Every value is checked to be finite.  Returns
+    (state at x1, {x: state} for the samples passed, crossings,
+    segments), the last two in walk order.
     """
     forward = x0 <= x1
-    lo_all, hi_all = (x0, x1) if forward else (x1, x0)
-    cuts = [p for p in problem.discontinuities if lo_all < p < hi_all]
-    points = sorted(samples)
-    if not forward:
-        cuts.reverse()
-        points.reverse()
+    spans = list(problem.spans(min(x0, x1), max(x0, x1)))
+    points = sorted(samples, reverse=not forward)
     atoms = set(problem.atom_positions)
     shape = np.shape(state)
     found, crossings, segments = {}, [], []
-    for lo, hi in zip([x0] + cuts, cuts + [x1]):
-        a, b = min(lo, hi), max(lo, hi)
+    for piece, a, b in spans if forward else reversed(spans):
+        lo, hi = (a, b) if forward else (b, a)
         t_eval = [lo] + [x for x in points if a < x < b] + [hi]
-        values, dense = solve(lo, hi, np.ravel(state, order="F"), t_eval)
+        values, dense = solve(piece, lo, hi, np.ravel(state, order="F"), t_eval)
         if not np.isfinite(values).all():
             # an exact exponential can be finite while its product is not;
             # a transfer that overflows shows at the start of the next piece
@@ -480,9 +476,12 @@ def _walk(problem, lam, x0, x1, state, solve, samples=frozenset()):
 
 
 def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
-    """Evolve a single solution vector over an atom-free interval."""
+    """Evolve a single solution vector over an atom-free interval of [0, b]."""
+    lo, hi = sorted((x0, x1))
+    if lo < 0.0 or hi > problem.b:
+        raise ValueError(f"interval ({x0}, {x1}) leaves [0, {problem.b}]")
     for p in problem.atom_positions:
-        if min(x0, x1) < p < max(x0, x1):
+        if lo < p < hi:
             raise ValueError(f"interval ({x0}, {x1}) contains the atom at {p}")
     u = np.asarray(u0, dtype=complex)
     if x0 == x1:
@@ -687,13 +686,13 @@ class KernelGram:
 
 
 def kernel_gram(problem: Problem, c_max) -> KernelGram:
-    """G(c_max) piece by piece, plus the balanced atom terms.
+    """G(c_max) span by span, plus the balanced atom terms.
 
     At lambda = 0, A = Jq vanishes on a piece where q = 0, so U(.,0) is
-    the constant u there and the piece contributes u* (int w) u, with
-    int w exact where w is constant and one matrix quadrature of the
-    density where it is not.  On every other piece U(.,0)* w U(.,0) is
-    integrated by one matrix quadrature.
+    the constant u there and the span contributes u* (int w) u, with
+    int w the piece's constant w times the length where w is constant
+    and one matrix quadrature of the density where it is not.  On every
+    other span U(.,0)* w U(.,0) is integrated by one matrix quadrature.
     """
     c_max = float(c_max)
     report = bad_points(problem, 0.0)
@@ -706,16 +705,13 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
         u = fm.at(x)
         return u.conj().T @ problem.w.density(x) @ u
 
-    def constant_w(piece, lo, hi):
-        w = piece.values[3:]
-        return None if None in w else _density_matrix(*w) * (hi - lo)
-
     def constant_u(piece, lo, hi):
         if piece.values[:3] != (0, 0, 0):
             return None
         u = fm.at(0.5 * (lo + hi))
-        w = problem.integrate(problem.w.density, lo, hi, epsabs=1e-13,
-                              epsrel=1e-11, limit=200, piece_integral=constant_w)
+        w = piece.values[3:]
+        w = (integrate(problem.w.density, lo, hi, 1e-13, 1e-11, 200)[0]
+             if None in w else _density_matrix(*w) * (hi - lo))
         return u.conj().T @ w @ u
 
     G = problem.integrate(integrand, 0.0, c_max, epsabs=1e-13, epsrel=1e-11,

@@ -91,11 +91,11 @@ def _imag12_integrals(problem: Problem, x_from, x_to):
     piece, as the real and imaginary part of one integral: exactly,
     (Im q12, Im w12) times the length, on a piece where ``Piece.values``
     holds both entries, and by quadrature of both at once elsewhere."""
-    fq = problem.q._f12
-    fw = problem.w._f12
+    q_entries = problem.q.density_entries
+    w_entries = problem.w.density_entries
 
     def integrand(t):
-        return complex(fq(t).imag, fw(t).imag)
+        return complex(q_entries(t)[1].imag, w_entries(t)[1].imag)
 
     def exact(piece, lo, hi):
         q12, w12 = piece.values[1], piece.values[4]

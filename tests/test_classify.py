@@ -335,6 +335,26 @@ def test_caller_grid_perturbed_off_atoms():
     assert len(cs) == 4
 
 
+def test_caller_grid_ending_on_an_atom_is_nudged_before_definiteness():
+    p, _ = builtin_example("bad_point_minus")
+    grid = np.linspace(1 / 8, 1, 8)         # ends on the atom at x = 1
+    report = deficiency_indices(p, 1j, c_grid=grid)
+    cs = report.diagnostics["cGrid"]
+    assert cs[-1] > 1.0 and report.diagnostics["definiteUpTo"] == cs[-1]
+    assert cs == [pt.c for pt in trace_disks(p, 1j, grid).points]
+
+
+def test_empty_grids_are_refused():
+    for name in ("bad_point_minus", "constant_w"):
+        p, _ = builtin_example(name)
+        with pytest.raises(ValueError, match="non-empty"):
+            trace_disks(p, 1j, [])
+        with pytest.raises(ValueError, match="non-empty"):
+            deficiency_indices(p, 1j, c_grid=[])
+        with pytest.raises(ValueError, match="count"):
+            default_c_grid(p, count=0)
+
+
 def test_deficiency_indices_off_axis_lambda():
     """Indices depend only on the half-plane of lambda, not its value."""
     cases = [

@@ -118,6 +118,15 @@ def test_disks_truncation_note(runner):
     assert "truncated" in result.output  # stderr note about det U noise floor
 
 
+@pytest.mark.parametrize("command", ["disks", "classify", "tau"])
+@pytest.mark.parametrize("example", ["bad_point_minus", "free_identity"])
+def test_empty_grid_exit_2(runner, command, example):
+    result = invoke(runner, [command, "--example", example,
+                             "--lambda", "i", "--count", "0"])
+    assert result.exit_code == 2
+    assert "count=0" in result.output
+
+
 def test_disks_requires_problem_or_example(runner):
     result = runner.invoke(main, ["disks", "--lambda", "i"])
     assert result.exit_code != 0

@@ -185,6 +185,36 @@ def test_integrate_sums_one_quadrature_per_piece():
     assert p.integrate(f, 0.5, 0.5, epsabs=1e-13, epsrel=1e-12, limit=50) == 0
 
 
+def test_spans_clip_the_pieces_to_the_range_left_to_right():
+    p = Problem(3.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+x*step(x-0.3)", d22="1",
+                                   atoms=[(2.75, np.eye(2))]))
+    first, middle, last = p.pieces
+
+    def spans(lo, hi):
+        return list(p.spans(lo, hi))
+
+    # clipped at both ends, in order
+    assert spans(0.1, 2.9) == [(first, 0.1, 0.3), (middle, 0.3, 2.75),
+                               (last, 2.75, 2.9)]
+    assert spans(0.0, 3.0) == [(q, q.lo, q.hi) for q in p.pieces]
+    # inside one piece, and ending on a discontinuity
+    assert spans(1.0, 2.0) == [(middle, 1.0, 2.0)]
+    assert spans(0.3, 2.75) == [(middle, 0.3, 2.75)]
+    # an empty or reversed range meets no piece
+    for lo, hi in ((0.5, 0.5), (0.3, 0.3), (0.0, 0.0), (2.0, 1.0)):
+        assert spans(lo, hi) == []
+
+
+def test_spans_reach_an_infinite_endpoint():
+    p = Problem(math.inf, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+step(x-2)", d22="1"))
+    low, high = p.pieces
+    assert high.hi == math.inf
+    assert list(p.spans(1.0, math.inf)) == [(low, 1.0, 2.0), (high, 2.0, math.inf)]
+    assert list(p.spans(5.0, 7.0)) == [(high, 5.0, 7.0)]
+
+
 def test_integrate_runs_quadrature_only_where_the_piece_integral_is_unknown():
     p = Problem(3.0, 0.0, CoefficientMeasure(),
                 CoefficientMeasure(d11="1+x*step(x-0.3)", d22="1",

@@ -478,6 +478,32 @@ def test_eta_crosses_atoms_like_the_forward_matrix(rng):
         assert rel_err(eta_c, [-math.sin(beta), math.cos(beta)]) < 1e-8
 
 
+def test_eta_from_inside_a_piece_matches_the_forward_matrix(rng):
+    """The backward walk starts mid-piece, walks the spans in reverse and
+    crosses every atom below c; U(c) U(0)^{-1} eta(0) gives eta(c) back."""
+    beta = 0.4
+    checked = 0
+    for _ in range(10):
+        p = random_piecewise_problem(rng)
+        lam = pick_lambda_outside_bad_set(p, rng)
+        for piece in p.pieces[1:]:
+            c = 0.5 * (piece.lo + min(piece.hi, 6.0))
+            fm = fundamental_matrix(p, lam, c)
+            eta0 = eta_solution(p, lam, c, beta)
+            eta_c = fm.at(c) @ np.linalg.solve(fm.at(0.0), eta0)
+            assert rel_err(eta_c, [-math.sin(beta), math.cos(beta)]) < 1e-8
+            checked += len(fm.crossings)
+    assert checked > 0
+
+
+def test_evolve_rejects_a_range_outside_the_interval():
+    p, _ = builtin_example("lesch_malamud", a=0.0)
+    short = Problem(2.0, 0.0, CoefficientMeasure(), CoefficientMeasure(d11="1"))
+    for problem, x0, x1 in ((short, 0.0, 2.5), (short, 2.5, 1.0), (p, -1.0, 1.0)):
+        with pytest.raises(ValueError, match="leaves"):
+            evolve_ac(problem, 1j, x0, x1, np.array([1.0, 0.0]))
+
+
 def test_eta_defined_for_bad_point_plus():
     p, _ = builtin_example("bad_point_plus")
     eta0 = eta_solution(p, 2j, 2.0, 0.7)   # B- invertible there
