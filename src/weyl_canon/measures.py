@@ -171,13 +171,6 @@ class CoefficientMeasure:
     def atom_positions(self):
         return tuple(a.position for a in self.atoms)
 
-    def delta(self, x) -> np.ndarray:
-        """Jump matrix at x: the atom matrix if there is one, else 0."""
-        for a in self.atoms:
-            if a.position == x:
-                return a.matrix
-        return np.zeros((2, 2), dtype=complex)
-
     def mass(self, a, b) -> float:
         """Memoized quadrature of the density's Frobenius norm over (a, b),
         which must hold no atom or jump; for scale-aware tolerances only."""
@@ -210,6 +203,9 @@ class CoefficientMeasure:
             doc["breakpoints"] = list(self.breakpoints)
         return doc
 
+
+_ZERO = np.zeros((2, 2), dtype=complex)
+_ZERO.setflags(write=False)
 
 _ENTRY_LABELS = ("q.d11", "q.d12", "q.d22", "w.d11", "w.d12", "w.d22")
 
@@ -258,14 +254,15 @@ class Problem:
     integrable near the regular endpoint 0 (checked by quadrature unless
     the entry is constant on the first piece).
 
+    ``atom_table`` maps each atom position in (0, b), left to right, to
+    its read-only (Delta_q, Delta_w), zero on a side without an atom.
     ``discontinuities`` holds the points of (0, b) that are atom
     positions, declared breakpoints or roots of a ``step`` argument that
-    is affine in x; declared breakpoints outside (0, b) are ignored.
-    ``pieces`` splits (0, b) there.  It does not depend on lambda and is
-    built once, also when validate is False; an entry that is constant
-    on a piece but undefined there is rejected then too.  ``spans`` clips
-    it to a range for validation, every integral over x (``integrate``),
-    the propagation walker and the oracle.
+    is affine in x; ``pieces`` splits (0, b) there.  Both tables are
+    independent of lambda and built once, also when validate is False;
+    an entry that is constant on a piece but undefined there is rejected
+    then too.  ``spans`` clips the pieces to a range for validation,
+    every integral over x (``integrate``), the walker and the oracle.
     """
 
     def __init__(self, b, alpha, q: CoefficientMeasure, w: CoefficientMeasure,
@@ -280,9 +277,12 @@ class Problem:
             raise ValidationError(f"alpha must lie in [0, pi), got {self.alpha}")
 
         entries = (q.d11, q.d12, q.d22, w.d11, w.d12, w.d22)
-        positions = sorted(set(q.atom_positions) | set(w.atom_positions))
-        self.atom_positions = tuple(positions)
-        points = set(positions) | set(q.breakpoints) | set(w.breakpoints)
+        dq = {a.position: a.matrix for a in q.atoms}
+        dw = {a.position: a.matrix for a in w.atoms}
+        self.atom_table = {x: (dq.get(x, _ZERO), dw.get(x, _ZERO))
+                           for x in sorted(dq.keys() | dw.keys()) if 0.0 < x < self.b}
+        self.atom_positions = tuple(self.atom_table)
+        points = set(self.atom_positions) | set(q.breakpoints) | set(w.breakpoints)
         points.update(r for e in entries for r in step_roots(e))
         self.discontinuities = tuple(sorted(p for p in points if 0.0 < p < self.b))
         self.pieces = self._build_pieces(entries)
@@ -452,10 +452,10 @@ class Problem:
     # -- accessors ---------------------------------------------------------
 
     def delta_q(self, x) -> np.ndarray:
-        return self.q.delta(x)
+        return self.atom_table.get(x, (_ZERO, _ZERO))[0]
 
     def delta_w(self, x) -> np.ndarray:
-        return self.w.delta(x)
+        return self.atom_table.get(x, (_ZERO, _ZERO))[1]
 
     def system_matrix(self, lam):
         """Return x -> A(x) with u' = A u between atoms, as a flat 2x2

@@ -54,7 +54,7 @@ __all__ = [
     "J",
     "JumpPair",
     "jump_matrices",
-    "BadAtomRecord",
+    "atom_jumps",
     "BadPointReport",
     "bad_points",
     "transfer_across_atom",
@@ -150,21 +150,23 @@ def jump_matrices(dq, dw, lam, position=None) -> JumpPair:
                     dq, dw, lam, position)
 
 
+def atom_jumps(problem: Problem, lam) -> dict:
+    """{position: JumpPair} at lam for every atom of ``Problem.atom_table``,
+    left to right: the one reading of the atoms for the walker, tau, the
+    bad points and the conjugate route."""
+    lam = complex(lam)
+    return {x: jump_matrices(dq, dw, lam, x)
+            for x, (dq, dw) in problem.atom_table.items()}
+
+
 # --------------------------------------------------------------------------
 # bad points
 # --------------------------------------------------------------------------
 
-class BadAtomRecord(NamedTuple):
-    position: float
-    minus_singular: bool
-    plus_singular: bool
-    abs_det_minus: float
-    abs_det_plus: float
-
-
 @dataclass(frozen=True)
 class BadPointReport:
-    """Atoms at which B- or B+ is singular for this lambda."""
+    """Atoms at which B- or B+ is singular for this lambda: ``records``
+    holds their ``JumpPair``s, left to right."""
 
     lam: complex
     records: tuple
@@ -178,8 +180,8 @@ class BadPointReport:
             sides = "".join(s for s, flag in (("-", r.minus_singular),
                                               ("+", r.plus_singular)) if flag)
             parts.append(f"x={r.position} (B{sides} singular, "
-                         f"|det-|={r.abs_det_minus:.3e}, "
-                         f"|det+|={r.abs_det_plus:.3e})")
+                         f"|det-|={abs(r.det_minus):.3e}, "
+                         f"|det+|={abs(r.det_plus):.3e})")
         return f"lambda={self.lam}: bad points at " + ", ".join(parts)
 
     @property
@@ -192,16 +194,11 @@ class BadPointReport:
 
 
 def bad_points(problem: Problem, lam) -> BadPointReport:
-    """Scan the atom list for singular B-+; continuity points always give
-    B-+ = J and never contribute."""
-    lam = complex(lam)
-    records = []
-    for x in problem.atom_positions:
-        jp = jump_matrices(problem.delta_q(x), problem.delta_w(x), lam, x)
-        if jp.minus_singular or jp.plus_singular:
-            records.append(BadAtomRecord(x, jp.minus_singular, jp.plus_singular,
-                                         abs(jp.det_minus), abs(jp.det_plus)))
-    return BadPointReport(lam, tuple(records), bool(records))
+    """The atoms of ``atom_jumps`` with a singular B- or B+; continuity
+    points always give B-+ = J and never contribute."""
+    records = tuple(jp for jp in atom_jumps(problem, lam).values()
+                    if jp.minus_singular or jp.plus_singular)
+    return BadPointReport(complex(lam), records, bool(records))
 
 
 def transfer_across_atom(u_minus, jump: JumpPair):
@@ -438,16 +435,16 @@ def _walk(problem, lam, x0, x1, state, solve, samples=frozenset()):
     the state, flattened by columns, over one span (lo, hi) of ``piece``
     and returns (states at t_eval, dense callable or None); t_eval runs
     from lo through the ``samples`` strictly inside to hi.  At each atom
-    strictly between x0 and x1 the state is carried across by
-    B+^{-1} B- forward and by B-^{-1} B+ backward; an atom at x0 or x1
-    is not crossed.  Every value is checked to be finite.  Returns
-    (state at x1, {x: state} for the samples passed, crossings,
-    segments), the last two in walk order.
+    strictly between x0 and x1 the state is carried across by its
+    ``atom_jumps`` pair, B+^{-1} B- forward and B-^{-1} B+ backward; an
+    atom at x0 or x1 is not crossed.  Every value is checked to be
+    finite.  Returns (state at x1, {x: state} for the samples passed,
+    crossings, segments), the last two in walk order.
     """
     forward = x0 <= x1
     spans = list(problem.spans(min(x0, x1), max(x0, x1)))
     points = sorted(samples, reverse=not forward)
-    atoms = set(problem.atom_positions)
+    jumps = atom_jumps(problem, lam)
     shape = np.shape(state)
     found, crossings, segments = {}, [], []
     for piece, a, b in spans if forward else reversed(spans):
@@ -464,8 +461,8 @@ def _walk(problem, lam, x0, x1, state, solve, samples=frozenset()):
                 found[x] = value.reshape(shape, order="F")
         state = values[-1].reshape(shape, order="F")
         segments.append(_Segment(a, b, dense))
-        if hi != x1 and hi in atoms:
-            jp = jump_matrices(problem.delta_q(hi), problem.delta_w(hi), lam, hi)
+        jp = jumps.get(hi) if hi != x1 else None
+        if jp is not None:
             after = (jp.transfer_matrix() if forward
                      else jp.backward_matrix()) @ state
             left, right = (state, after) if forward else (after, state)
@@ -512,13 +509,6 @@ class SampledSolution:
 
     def right_at(self, x):
         return self.fm.right_at(x) @ self.coeff
-
-    def balanced_atom_values(self, upto=None):
-        out = []
-        for crossing in self.fm.crossings:
-            if upto is None or crossing.position < upto:
-                out.append((crossing.position, crossing.balanced @ self.coeff))
-        return out
 
 
 class FundamentalMatrix:
@@ -719,10 +709,9 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
     G[1, 0] = np.conj(G[0, 1])
 
     for crossing in fm.crossings:
-        dw = problem.delta_w(crossing.position)
-        if np.any(dw):
+        if np.any(crossing.jump.dw):
             ub = crossing.balanced
-            G += ub.conj().T @ dw @ ub
+            G += ub.conj().T @ crossing.jump.dw @ ub
 
     G = 0.5 * (G + G.conj().T)
     eigenvalues, vectors = np.linalg.eigh(G)

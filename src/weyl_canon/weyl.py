@@ -39,10 +39,10 @@ from .propagation import (
     FundamentalMatrix,
     J,
     SampledSolution,
+    atom_jumps,
     bad_points,
     eta_solution,
     fundamental_matrix,
-    jump_matrices,
 )
 
 __all__ = [
@@ -141,21 +141,17 @@ def tau_profile(problem: Problem, lam, xs):
     samples = []
     iq = iw = 0.0
     prev = 0.0
-    atoms = problem.atom_positions
-    k = 0
+    pending = list(atom_jumps(problem, lam).values())
     product = complex(1.0)
     for x in xs:
         dq_, dw_ = _imag12_integrals(problem, prev, x)
         iq += dq_
         iw += dw_
-        while k < len(atoms) and atoms[k] < x:
-            position = atoms[k]
-            jp = jump_matrices(problem.delta_q(position),
-                               problem.delta_w(position), lam, position)
+        while pending and pending[0].position < x:
+            jp = pending.pop(0)
             if jp.plus_singular:
                 raise BadPointError(bad_points(problem, lam))
             product *= jp.det_minus / jp.det_plus
-            k += 1
         factor = _tau_factor(iq, iw, lam, x)
         samples.append(TauSample(x, lam, product, factor, product * factor))
         prev = x
@@ -216,10 +212,10 @@ def norm_quadrature(problem: Problem, sol: SampledSolution, c) -> NormValue:
 
     total = problem.integrate(integrand, 0.0, c,
                               epsabs=1e-13, epsrel=1e-10, limit=200)
-    for position, balanced in sol.balanced_atom_values(upto=c):
-        dw = problem.delta_w(position)
-        if np.any(dw):
-            total += float(np.real(np.vdot(balanced, dw @ balanced)))
+    for cr in sol.fm.crossings:
+        if cr.position < c and np.any(cr.jump.dw):
+            balanced = cr.balanced @ sol.coeff
+            total += float(np.real(np.vdot(balanced, cr.jump.dw @ balanced)))
     return NormValue(c, total, "quadrature")
 
 
@@ -414,6 +410,7 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
     problem = fm.problem
     lam_c = complex(fm.lam).conjugate()
     report = bad_points(problem, lam_c)
+    jumps_c = atom_jumps(problem, lam_c)
     crossed = {cr.position: cr for cr in fm.crossings}
     xs, values, crossings = [0.0], [np.conj(fm.at(0.0))], []
     for t in taus:
@@ -423,8 +420,7 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
                 xs.append(t.x)
                 values.append(t.value * np.conj(fm.at(t.x)))
             continue
-        jp_c = jump_matrices(problem.delta_q(t.x), problem.delta_w(t.x),
-                             lam_c, t.x)
+        jp_c = jumps_c[t.x]
         if jp_c.plus_singular:
             raise BadPointError(report)
         left = t.value * np.conj(cr.left)
