@@ -37,6 +37,7 @@ from .propagation import bad_points, fundamental_matrix, kernel_gram
 from .weyl import (
     WeylDisk,
     WeylHalfPlane,
+    _disk_denominator,
     conjugate_fundamental,
     norm_lagrange,
     null_norm_tolerance,
@@ -165,8 +166,9 @@ class DiskTrace:
     lam: complex
     points: tuple
     grid_policy: str = "default"
-    #: grid point at which det U fell below the float64 noise floor and
-    #: the trace stopped; None when the whole grid was usable.
+    #: grid point at which the disk's denominator C conj(D) - conj(C) D
+    #: fell into the rounding noise of its products and the trace
+    #: stopped; None when the whole grid was usable.
     truncated_at: float | None = None
 
     @property
@@ -208,9 +210,12 @@ def _traces(problem, lams, c_grid, policy):
     lam_up or to its conjugate for one lam_up with Im lam_up > 0, from a
     single propagation at lam_up.  Checks every lam against Lambda first;
     conj(lam) lies in Lambda exactly when lam does, since
-    det B+-(conj lam) = conj det B-+(lam).  A trace stops where det U
-    falls below the float64 noise floor; that point does not depend on
-    the side, since the noise ratio is invariant under U -> t conj(U)."""
+    det B+-(conj lam) = conj det B-+(lam).  Each disk's radius comes from
+    the trace's tau profile.  On the disk branch a trace stops where the
+    disk's denominator, which is also the psi norm's Lagrange numerator,
+    falls into the rounding noise of its products; it is tested before
+    the norms read it.  That point does not depend on the side, since
+    the noise ratio is invariant under U -> t conj(U)."""
     for lam in lams:
         if lam.imag == 0.0:
             raise ValueError("trace_disks needs Im lam != 0")
@@ -229,14 +234,20 @@ def _traces(problem, lams, c_grid, policy):
         truncated_at = None
         for c, ts in zip(c_grid, taus):
             uc = fm.at(float(c))
-            n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
-            n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
+            C, D = uc[0, 1], uc[1, 1]
+            tol_null = null_norm_tolerance(problem, c)
+            # |C conj(D) - conj(C) D| = 2 |Im lam| ||psi||^2: the disk branch
+            disk = abs(C * np.conj(D) - np.conj(C) * D) > 2.0 * abs(lam.imag) * tol_null
             try:
-                ws = weyl_set(fm, c, n_psi)
+                if disk:
+                    _disk_denominator(C, D, c)
+                n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
+                n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
+                ws = weyl_set(fm, c, n_psi, tol_null=tol_null, tau=ts.value)
             except DegenerateUError:
                 if not points:
                     raise
-                # det U left the double-precision envelope; later points
+                # the disk left the double-precision envelope; later points
                 # carry no usable geometry, stop the trace here.
                 truncated_at = float(c)
                 break

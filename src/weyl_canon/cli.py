@@ -180,8 +180,8 @@ def disks(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
         for lam, trace in zip(lams, traces):
             if trace.truncated_at is not None:
                 click.echo(f"note: trace for lambda={lam:g} truncated at "
-                           f"c={trace.truncated_at:g} (det U reached the "
-                           "float64 noise floor)", err=True)
+                           f"c={trace.truncated_at:g} (the disk's denominator "
+                           "reached the float64 noise floor)", err=True)
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)

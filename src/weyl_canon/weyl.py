@@ -14,7 +14,11 @@ on (0, c)) and a horizontal line otherwise.  The tau function
                   * exp(2i int_(0,x) (Im q12_ac - lam Im w12_ac))
 
 equals det U(x, lam) and ties the disk radius to the psi norm through
-r = |tau| / (2 |Im lam| ||psi||_c^2).
+r = |tau| / (2 |Im lam| ||psi||_c^2).  ``weyl_set`` takes the radius
+|tau| / |C conj(D) - conj(C) D| from tau: the entry determinant AD - BC
+cancels to rounding noise where det U decays while U grows.  Only
+``radius_identity_residual`` reads the entry determinant, so that the
+identity stays an independent check.
 """
 
 from __future__ import annotations
@@ -276,14 +280,16 @@ class WeylHalfPlane:
 
 
 def det_noise_ratio(entries) -> float:
-    """Noise-to-signal ratio of det U computed from the entries.
+    """Noise-to-signal ratio of det U computed from the entries, a
+    diagnostic.
 
     The propagated entries carry a relative error of order the ODE
     tolerance, so det U = A*D - B*C is uncertain by roughly
     RTOL * (|A*D| + |B*C|).  det U = tau decays exponentially on many
     problems while the entries grow, so beyond some c the subtraction is
-    pure noise; values of this ratio well below 1 mean the determinant
-    (and with it the disk radius) is trustworthy.
+    pure noise; values of this ratio well below 1 mean the entry
+    determinant is trustworthy.  ``weyl_set`` takes |det U| from tau and
+    does not need it; ``radius_identity_residual`` does.
     """
     A, B, C, D = entries
     det_u = A * D - B * C
@@ -293,30 +299,45 @@ def det_noise_ratio(entries) -> float:
     return RTOL * scale / abs(det_u)
 
 
-def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None):
+def _disk_denominator(C, D, c) -> complex:
+    """C conj(D) - conj(C) D, the Weyl disk's denominator and, since U(0)
+    is real, 2i Im lam ||psi||_c^2 by the Lagrange identity.
+
+    Raises DegenerateUError when it is lost in the rounding noise of its
+    two products, RTOL 2|C||D| / |C conj(D) - conj(C) D| > 1e-2: c is
+    then past the range where double precision resolves the disk."""
+    denom = C * np.conj(D) - np.conj(C) * D
+    if abs(denom) <= 100.0 * RTOL * 2.0 * abs(C) * abs(D):
+        raise DegenerateUError(
+            f"C conj(D) - conj(C) D = {denom:.3e} at c={c} is within the "
+            "rounding noise of its products; c is past the "
+            "float-representable range of the Weyl disk")
+    return denom
+
+
+def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None, tau=None):
     """Disk or half plane at the continuity point c.
 
     The branch is decided by the psi norm against the scale-aware zero
     cutoff; the disk data come from the Moebius-image circle equation:
     center (B conj(C) - A conj(D)) / (C conj(D) - conj(C) D), radius
-    |AD - BC| / |C conj(D) - conj(C) D|.
+    |tau| / |C conj(D) - conj(C) D|.  ``tau`` is tau(c, lam) = det U(c),
+    computed here when not given; unlike the entry determinant AD - BC
+    it does not cancel to noise where det U decays while U grows.
 
-    Raises DegenerateUError when det U is lost in rounding noise: exact
-    degeneracy (lambda with a bad point, rank-1 U) as well as truncation
-    points beyond the double-precision envelope of det U = tau.
+    Raises DegenerateUError when lambda lies in Lambda (U has rank 1 and
+    tau = 0), and on the disk branch when C conj(D) - conj(C) D is lost
+    in the rounding noise of its products.
     """
     lam = fm.lam
     if lam.imag == 0.0:
         raise ValueError("Weyl sets need Im lam != 0")
+    if fm.in_lambda_set:
+        raise DegenerateUError(
+            f"lambda={lam} lies in Lambda: U(., lambda) is singular and "
+            "has no Weyl set")
     c = float(c)
     A, B, C, D = fm.entries(c)
-    det_u = A * D - B * C
-    if det_noise_ratio((A, B, C, D)) > 1e-2:
-        raise DegenerateUError(
-            f"det U(c={c}) = {det_u:.3e} is within the numerical noise "
-            "floor of the entry products; U is singular (lambda in Lambda "
-            "/ propagation failure) or c is past the float-representable "
-            "range of det U")
     if tol_null is None:
         tol_null = null_norm_tolerance(fm.problem, c)
 
@@ -327,16 +348,19 @@ def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None):
         rho = A * np.conj(D) - B * np.conj(C)
         return WeylHalfPlane(c, lam, level, 1 if lam.imag > 0 else -1,
                              complex(rho), entries)
-    denom = C * np.conj(D) - np.conj(C) * D
+    denom = _disk_denominator(C, D, c)
+    if tau is None:
+        tau = tau_profile(fm.problem, lam, [c])[0].value
     center = (B * np.conj(C) - A * np.conj(D)) / denom
-    radius = abs(det_u) / abs(denom)
-    return WeylDisk(c, lam, complex(center), float(radius), entries)
+    return WeylDisk(c, lam, complex(center), float(abs(tau) / abs(denom)), entries)
 
 
 def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
-    """Relative gap between the geometric disk radius and
+    """Relative gap between the geometric disk radius
+    |AD - BC| / |C conj(D) - conj(C) D|, from the entry determinant, and
     |tau| / (2 |Im lam| ||psi||_c^2), with the psi norm computed by
-    quadrature so that the two sides stay independent."""
+    quadrature, so that the two sides stay independent.  Raises
+    DegenerateUError where ``det_noise_ratio`` exceeds 1e-2."""
     lam = complex(lam)
     c = float(c)
     if fm is None:
@@ -346,10 +370,14 @@ def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
         raise DegenerateHalfPlaneError(
             f"psi norm {n_psi:.3e} is numerically zero at c={c}; "
             "the Weyl set is a half plane and has no radius")
-    ws = weyl_set(fm, c, n_psi)
-    t = tau(problem, lam, c).value
-    formula = abs(t) / (2.0 * abs(lam.imag) * n_psi)
-    return abs(ws.radius - formula) / ws.radius
+    A, B, C, D = entries = fm.entries(c)
+    if det_noise_ratio(entries) > 1e-2:
+        raise DegenerateUError(
+            f"det U(c={c}) = {A * D - B * C:.3e} is within the noise floor "
+            "of the entry products; the geometric radius is not resolved")
+    radius = abs(A * D - B * C) / abs(_disk_denominator(C, D, c))
+    formula = abs(tau(problem, lam, c).value) / (2.0 * abs(lam.imag) * n_psi)
+    return abs(radius - formula) / radius
 
 
 # --------------------------------------------------------------------------

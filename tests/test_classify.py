@@ -320,7 +320,11 @@ def test_config_thresholds_exposed():
 
 
 def test_trace_truncation_is_reported():
-    p, _ = builtin_example("constant_w")
+    # q = diag(1, -1) with w = I on (0, 1) only: psi grows like e^x while
+    # its w-norm stays bounded, so the disk's denominator
+    # C conj(D) - conj(C) D falls into the rounding noise of |C||D|
+    p = Problem(math.inf, 0.0, CoefficientMeasure(d11="1", d22="-1"),
+                CoefficientMeasure(d11="step(1-x)", d22="step(1-x)"))
     trace = trace_disks(p, 1j)
     assert trace.truncated_at is not None
     assert len(trace.points) >= 8
@@ -453,3 +457,30 @@ def test_bad_lambda_refused_on_both_sides():
                 trace_disks(p, lam)
             with pytest.raises(BadPointError):
                 deficiency_indices(p, lam)
+
+
+def test_lesch_malamud_at_2i_keeps_its_indices():
+    # the radius from tau keeps the whole upper trace, so the psi-norm
+    # increments no longer read as diverging past a det-noise cut
+    p, rec = builtin_example("lesch_malamud", a=1.0)
+    rep = deficiency_indices(p, 2j)
+    assert (rep.n_plus, rep.n_minus) == (2, 1)
+    assert (rep.n_plus, rep.n_minus) == (rec.expected["n_plus"], rec.expected["n_minus"])
+    assert not rep.inconclusive
+
+
+@pytest.mark.parametrize("name, params", [
+    ("lesch_malamud", {"a": 0.0}), ("lesch_malamud", {"a": 1.0}),
+    ("constant_w", {}), ("free_identity", {})])
+@pytest.mark.parametrize("lam", [1j, 2j, 0.5 - 1j, -0.5 + 0.5j])
+def test_catalog_traces_keep_every_point_with_closed_form_radii(name, params, lam):
+    p, rec = builtin_example(name, **params)
+    trace = trace_disks(p, lam)
+    assert trace.truncated_at is None
+    assert len(trace.points) == 24
+    for pt in trace.points:
+        u = rec.eval("U", pt.c, lam)
+        C, D = u[0, 1], u[1, 1]
+        want = abs(rec.eval("tau", pt.c, lam)) / abs(C * np.conj(D) - np.conj(C) * D)
+        assert isinstance(pt.wset, WeylDisk)
+        assert abs(pt.wset.radius - want) <= 1e-9 * want

@@ -111,9 +111,12 @@ def test_disks_json_format_and_multi_lambda(runner):
     assert all(t["truncatedAt"] is None for t in doc["traces"])
 
 
-def test_disks_truncation_note(runner):
-    result = invoke(runner, ["disks", "--example", "constant_w",
-                             "--lambda", "i", "--count", "12"])
+def test_disks_truncation_note(runner, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"b": "inf", "alpha": 0,
+                                "q": {"d11": "1", "d22": "-1"},
+                                "w": {"d11": "step(1-x)", "d22": "step(1-x)"}}))
+    result = invoke(runner, ["disks", "--problem", str(path), "--lambda", "i"])
     assert result.exit_code == 0
     assert "truncated" in result.output  # stderr note about det U noise floor
 

@@ -343,3 +343,28 @@ def test_problem_repr_and_json():
     text = p.to_json()
     assert json.loads(text)["b"] == 1
     assert "Problem" in repr(p)
+
+
+def test_atom_table_fills_the_missing_side_with_a_read_only_zero():
+    dq_only = [[0.5, 0.1j], [-0.1j, 0.2]]
+    shared_q = [[1.0, 0.0], [0.0, -1.0]]
+    shared_w = [[2.0, 0.5], [0.5, 1.0]]
+    dw_only = [[0.3, 0.0], [0.0, 0.0]]
+    p = Problem(5.0, 0.0,
+                CoefficientMeasure(atoms=[(2.0, shared_q), (1.0, dq_only)]),
+                CoefficientMeasure(d11="1", d22="1",
+                                   atoms=[(3.0, dw_only), (2.0, shared_w)]))
+    assert list(p.atom_table) == [1.0, 2.0, 3.0]
+    assert p.atom_positions == (1.0, 2.0, 3.0)
+    zero = np.zeros((2, 2))
+    want = {1.0: (dq_only, zero), 2.0: (shared_q, shared_w), 3.0: (zero, dw_only)}
+    for x, (dq, dw) in p.atom_table.items():
+        assert np.array_equal(dq, want[x][0]) and np.array_equal(dw, want[x][1])
+        assert dq is p.delta_q(x) and dw is p.delta_w(x)
+        for m in (dq, dw):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 7.0
+    for x in (0.5, 2.5):
+        assert not np.any(p.delta_q(x)) and not np.any(p.delta_w(x))
+        assert not p.delta_q(x).flags.writeable

@@ -584,3 +584,24 @@ def test_kernel_gram_reads_u_once_per_piece_where_q_is_zero(monkeypatch):
         monkeypatch.undo()
         assert len(calls) <= sum(piece.lo < c for piece in p.pieces)
         assert rel_err(got, want) <= 1e-12
+
+
+def test_bad_point_records_are_the_singular_jump_pairs(rng):
+    p, _ = builtin_example("bad_point_plus")
+    for lam in (2j, -2j, 1j, 0.0):
+        report = bad_points(p, lam)
+        for jp in report.records:
+            want = jump_matrices(p.delta_q(jp.position), p.delta_w(jp.position),
+                                 lam, jp.position)
+            assert (jp.det_minus, jp.det_plus) == (want.det_minus, want.det_plus)
+            assert jp.minus_singular or jp.plus_singular
+            assert f"|det-|={abs(want.det_minus):.3e}" in str(report)
+    assert bad_points(p, 2j).records
+    for _ in range(10):
+        q = random_piecewise_problem(rng)
+        for lam in (1j, 0.3 - 0.5j):
+            singular = tuple(
+                x for x in q.atom_positions
+                if (jp := jump_matrices(q.delta_q(x), q.delta_w(x), lam)).minus_singular
+                or jp.plus_singular)
+            assert bad_points(q, lam).positions == singular

@@ -418,3 +418,37 @@ def test_lesch_malamud_a0_norm_closed_form():
         got = norm_quadrature(p, fm.column(1), 3.0).value
         want = rec.eval("psi_norm_sq", 3.0, lam)
         assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_weyl_set_radius_reads_tau():
+    p, _ = builtin_example("constant_w")
+    fm = fundamental_matrix(p, 1j, 1.0)
+    n_psi = solution_norm_sq(fm, 1.0, 1)
+    own = weyl_set(fm, 1.0, n_psi)
+    t = tau(p, 1j, 1.0).value
+    assert own.radius == weyl_set(fm, 1.0, n_psi, tau=t).radius
+    assert weyl_set(fm, 1.0, n_psi, tau=2.0 * t).radius == pytest.approx(2.0 * own.radius,
+                                                                         rel=1e-15)
+
+
+@pytest.mark.parametrize("c", [1.5, 3.0])
+def test_norm_quadrature_sums_the_atom_terms_of_the_crossings(c):
+    # w is atoms only: a q-only atom at 1 adds nothing, the shared one at
+    # 2 adds u#* Delta_w u# with u# the balanced value there
+    p = Problem(4.0, 0.3,
+                CoefficientMeasure(d11="0.5", d22="-0.2",
+                                   atoms=[(1.0, [[0.4, 0.3j], [-0.3j, 0.2]]),
+                                          (2.0, [[0.1, 0], [0, 0.6]])]),
+                CoefficientMeasure(atoms=[(2.0, [[1.5, 0.5 - 0.2j], [0.5 + 0.2j, 0.7]])]))
+    lam = 0.3 + 0.8j
+    fm = fundamental_matrix(p, lam, c)
+    for column in (0, 1):
+        sol = fm.column(column)
+        want = 0.0
+        for x in p.atom_positions:
+            if x < c:
+                ub = sol.at(x)
+                want += float(np.real(np.vdot(ub, p.delta_w(x) @ ub)))
+        assert norm_quadrature(p, sol, c).value == pytest.approx(want, rel=1e-14, abs=0.0)
+    if c < 2.0:
+        assert norm_quadrature(p, fm.column(1), c).value == 0.0
