@@ -533,6 +533,7 @@ class FundamentalMatrix:
         self._segments = tuple(segments)
         self._segment_los = [s.lo for s in segments]
         self._atom_index = {cr.position: cr for cr in self.crossings}
+        self._sample_index = {x: k for k, x in enumerate(self.xs)}
         self.lambda_report = lambda_report
 
     @property
@@ -547,6 +548,10 @@ class FundamentalMatrix:
         return self._segments[k]
 
     def _eval_dense(self, x):
+        # a stored sample is the value the dense closure gives there
+        k = self._sample_index.get(x)
+        if k is not None:
+            return self.values[k].copy()
         seg = self._segment_for(x) if self._segments else None
         if seg is not None and seg.dense is not None:
             return seg.dense(x).reshape(2, 2, order="F")
