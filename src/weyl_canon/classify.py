@@ -446,6 +446,9 @@ def definiteness(problem: Problem, c_max=None) -> DefinitenessResult:
                               min_eig, tr, float(c_max))
 
 
+_definiteness = definiteness    # deficiency_indices' keyword shadows the name
+
+
 # --------------------------------------------------------------------------
 # deficiency indices
 # --------------------------------------------------------------------------
@@ -532,12 +535,16 @@ class ClassificationReport:
 
 
 def deficiency_indices(problem: Problem, lam, c_grid=None,
-                       config=DEFAULT_CONFIG) -> ClassificationReport:
+                       config=DEFAULT_CONFIG, *,
+                       definiteness=None) -> ClassificationReport:
     """Full classification at lam and conj(lam).
 
     Combines the norm dichotomy with the definiteness dimension into
     (n+, n-); limit verdicts and |tau| trends ride along as diagnostics
-    and as the cross-check that gates asymmetric indices.
+    and as the cross-check that gates asymmetric indices.  The
+    definiteness verdict does not depend on lam: a ``DefinitenessResult``
+    passed as ``definiteness`` is used instead of forming the Gram matrix
+    again, and must have been taken at the grid's last point.
     """
     lam = complex(lam)
     if lam.imag == 0.0:
@@ -545,7 +552,12 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
     lam_up = lam if lam.imag > 0 else lam.conjugate()
 
     c_grid, policy = _truncation_grid(problem, c_grid)
-    defres = definiteness(problem, c_max=float(c_grid[-1]))
+    defres = definiteness
+    if defres is None:
+        defres = _definiteness(problem, c_max=float(c_grid[-1]))
+    elif defres.c_max != float(c_grid[-1]):
+        raise ValueError(f"definiteness was taken at c_max={defres.c_max}, "
+                         f"not at the grid's last point {float(c_grid[-1])}")
     d = defres.dim_null_space
 
     trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()),

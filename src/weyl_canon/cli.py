@@ -18,7 +18,13 @@ from pathlib import Path
 import click
 
 from .catalog import builtin_example, catalog_names, parse_example_spec
-from .classify import ClassifyConfig, default_c_grid, deficiency_indices, trace_disks
+from .classify import (
+    ClassifyConfig,
+    default_c_grid,
+    deficiency_indices,
+    definiteness,
+    trace_disks,
+)
 from .errors import (
     BadPointError,
     InconclusiveError,
@@ -236,8 +242,13 @@ def classify(problem, example, lambdas, c0, rho, count, cmax,
                      if v is not None}
         config = ClassifyConfig(**overrides) if overrides else None
         lams = [parse_lambda(s) for s in lambdas]
+        # one Gram matrix for every lam; a real lam is refused before any
+        # Gram matrix is formed, so it is shared only when none is real
+        shared = (definiteness(p, c_max=float(grid[-1]))
+                  if all(lam.imag != 0.0 for lam in lams) else None)
         reports = [deficiency_indices(
-            p, lam, c_grid=grid, **({"config": config} if config else {}))
+            p, lam, c_grid=grid, definiteness=shared,
+            **({"config": config} if config else {}))
             for lam in lams]
         docs = [r.to_dict() for r in reports]
         _emit(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2), out)

@@ -13,8 +13,9 @@ Grammar (case sensitive)::
 cos, exp, log, atan, sqrt, step.  ``step(u)`` is 0 for u < 0, 1 for
 u > 0 and 1/2 at u = 0, so piecewise-defined densities are encoded
 exactly: ``step_roots`` finds the jumps of steps with affine arguments,
-and ``fold_steps`` reduces an expression to its form on one piece
-between them.
+``fold_steps`` reduces an expression to its form on one piece between
+them, and ``shared_affine`` writes several such forms as alpha + beta E
+with one shared AST node E where their structure allows it.
 
 ``parse_expr`` builds an AST, ``eval_expr`` evaluates it at a real x
 with full domain checking, and ``compile_expr`` turns it into a plain
@@ -45,6 +46,7 @@ __all__ = [
     "has_variable",
     "step_roots",
     "fold_steps",
+    "shared_affine",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "atan", "sqrt", "step")
@@ -324,23 +326,23 @@ def has_variable(expr: Expr) -> bool:
     return isinstance(expr, Variable) or any(map(has_variable, _children(expr)))
 
 
-def _affine(node):
-    """(a, b) with node == a*x + b when the AST is affine in x by
-    its structure (sums, constant multiples and constant divisors of x),
-    else None."""
+def _affine(node, var=Variable()):
+    """(a, b) with node == a*var + b when the AST is affine in the node
+    ``var`` by its structure (sums, constant multiples and constant
+    divisors of var, where a constant is an AST without x), else None."""
+    if node == var:
+        return 1 + 0j, 0j
     if not has_variable(node):
         try:
             return 0j, eval_expr(node, 0.0)
         except ExpressionDomainError:
             return None
-    if isinstance(node, Variable):
-        return 1 + 0j, 0j
     if isinstance(node, Unary):
-        inner = _affine(node.operand)
+        inner = _affine(node.operand, var)
         return None if inner is None else (-inner[0], -inner[1])
     if not isinstance(node, BinOp):
         return None
-    left, right = _affine(node.left), _affine(node.right)
+    left, right = _affine(node.left, var), _affine(node.right, var)
     if left is None or right is None:
         return None
     (a1, b1), (a2, b2) = left, right
@@ -355,6 +357,31 @@ def _affine(node):
     if node.op == "/" and a2 == 0 and b2 != 0:
         return a1 / b2, b1 / b2
     return None
+
+
+def shared_affine(exprs):
+    """(E, ((alpha, beta), ...)) with each of ``exprs`` equal to
+    alpha + beta*E by its structure, for one AST node E; None when some
+    expression is not of that form or none depends on x.  E is the first
+    expression that depends on x with its affine wrappers (negation, and
+    sums, products and quotients with a constant) peeled off, so that
+    ``1+2/(x^2+1)`` gives E = ``2/(x^2+1)``."""
+    node = next((e for e in exprs if has_variable(e)), None)
+    if node is None:
+        return None
+    while True:
+        if isinstance(node, Unary):
+            node = node.operand
+        elif isinstance(node, BinOp) and node.op in "+-*" and not has_variable(node.left):
+            node = node.right
+        elif isinstance(node, BinOp) and node.op in "+-*/" and not has_variable(node.right):
+            node = node.left
+        else:
+            break
+    forms = [_affine(e, node) for e in exprs]
+    if None in forms:
+        return None
+    return node, tuple((b, a) for a, b in forms)
 
 
 def _step_line(node):

@@ -36,12 +36,14 @@ from .expressions import (
     fold_steps,
     has_variable,
     parse_expr,
+    shared_affine,
     step_roots,
     to_source,
 )
 from .quadrature import integrate
 
 __all__ = [
+    "AffineForm",
     "Atom",
     "CoefficientMeasure",
     "Piece",
@@ -228,15 +230,42 @@ def _system(lam, q, w):
     return (-m21, -m22, m11, m12)
 
 
+# Two 2x2 matrices commute exactly when their traceless parts are
+# parallel; a commutator within this multiple of eps |X| |Y| (Frobenius
+# norms) is rounding in the entries of X and Y.
+_COMMUTE_TOL = 16 * 2.220446049250313e-16
+
+
+def _commute(x, y) -> bool:
+    """[X, Y] = 0 within rounding for flat 2x2 X and Y."""
+    a, b, c = 0.5 * (x[0] - x[3]), x[1], x[2]
+    d, e, f = 0.5 * (y[0] - y[3]), y[1], y[2]
+    gap = max(abs(b * f - c * e), 2 * abs(a * e - b * d), 2 * abs(c * d - a * f))
+    return gap <= _COMMUTE_TOL * math.hypot(*map(abs, x)) * math.hypot(*map(abs, y))
+
+
+class AffineForm(NamedTuple):
+    """The six density entries of a piece as alpha_k + beta_k E(x), with
+    one shared AST node E (``expressions.shared_affine``) and E compiled
+    as ``f``."""
+
+    node: Expr
+    f: object
+    alpha: tuple
+    beta: tuple
+
+
 class Piece(NamedTuple):
     """The open interval (lo, hi) between consecutive discontinuities,
     with the six density entries (q11, q12, q22, w11, w12, w22) there:
     each is its exact constant value on the piece, or None where it
-    still depends on x."""
+    still depends on x.  ``affine`` is their ``AffineForm`` where some
+    entry depends on x and all are affine in one shared node, else None."""
 
     lo: float
     hi: float
     values: tuple
+    affine: AffineForm | None = None
 
     @property
     def constant(self) -> bool:
@@ -258,7 +287,9 @@ class Problem:
     its read-only (Delta_q, Delta_w), zero on a side without an atom.
     ``discontinuities`` holds the points of (0, b) that are atom
     positions, declared breakpoints or roots of a ``step`` argument that
-    is affine in x; ``pieces`` splits (0, b) there.  Both tables are
+    is affine in x; ``pieces`` splits (0, b) there, each piece with the
+    constant entries and, where some entry depends on x, their shared
+    affine form (``Piece.affine``).  Both tables are
     independent of lambda and built once, also when validate is False;
     an entry that is constant on a piece but undefined there is rejected
     then too.  ``spans`` clips the pieces to a range for validation,
@@ -293,18 +324,22 @@ class Problem:
         cuts = list(self.discontinuities)
         pieces = []
         for lo, hi in zip([0.0] + cuts, cuts + [self.b]):
-            values = []
-            for label, expr in zip(_ENTRY_LABELS, entries):
-                folded = fold_steps(expr, lo, hi)
-                if has_variable(folded):
+            values, folded = [], [fold_steps(expr, lo, hi) for expr in entries]
+            for label, expr in zip(_ENTRY_LABELS, folded):
+                if has_variable(expr):
                     values.append(None)
                     continue
                 try:
-                    values.append(eval_expr(folded, lo))
+                    values.append(eval_expr(expr, lo))
                 except ExpressionDomainError as exc:
                     raise ValidationError(
                         f"{label} on ({lo:.6g}, {hi:.6g}): {exc}") from None
-            pieces.append(Piece(lo, hi, tuple(values)))
+            affine = None if None not in values else shared_affine(folded)
+            if affine is not None:
+                node, pairs = affine
+                alpha, beta = zip(*pairs)
+                affine = AffineForm(node, compile_expr(node), alpha, beta)
+            pieces.append(Piece(lo, hi, tuple(values), affine))
         return tuple(pieces)
 
     def spans(self, lo, hi):
@@ -471,6 +506,27 @@ class Problem:
         q = piece.values[:3]
         w = (0, 0, 0) if lam == 0 else piece.values[3:]   # w does not enter A at 0
         return None if None in q + w else _system(lam, q, w)
+
+    def commuting_system(self, lam, piece):
+        """(A0, AR, AI), flat like system_matrix, with
+        A(x) = A0 + Re E(x) AR + Im E(x) AI on ``piece`` when its entries
+        share an affine node E (``piece.affine``) and the three commute
+        pairwise, else None: then exp((x - lo) A0 + Re I AR + Im I AI),
+        with I the integral of E over (lo, x), carries u from lo to x.
+        ``_system`` is real-linear in the six entries, so AR and AI are
+        it at the coefficients beta and i beta.  Decided from the AST's
+        constants alone, never from samples."""
+        form = piece.affine
+        if form is None:
+            return None
+        lam = complex(lam)
+        ibeta = [1j * b for b in form.beta]
+        a0 = _system(lam, form.alpha[:3], form.alpha[3:])
+        ar = _system(lam, form.beta[:3], form.beta[3:])
+        ai = _system(lam, ibeta[:3], ibeta[3:])
+        if _commute(a0, ar) and _commute(a0, ai) and _commute(ar, ai):
+            return a0, ar, ai
+        return None
 
     def w_mass(self, c) -> float:
         """Frobenius total-variation scale of w on (0, c), summed over the

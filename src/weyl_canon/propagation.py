@@ -1,13 +1,23 @@
 """Initial value problems for J u' + q u = lam w u with atoms.
 
-Between atoms the system is a smooth 2x2 linear ODE, u' = J(q - lam w)u.
-On a piece where both densities are constant (read from the expression
-AST by ``Problem.pieces``) the solution is exp((x - lo) A) u(lo) in 2x2
-closed form; elsewhere it is integrated by adaptive commutator-free
-Magnus steps of order 4, each the product of two such closed-form
-exponentials of averages of A at two Gauss-Legendre nodes, with the
-error held to the tolerances below by step doubling.  At an atom the
-one-sided limits are coupled by B+ u+ = B- u- with
+Between atoms the system is a smooth 2x2 linear ODE, u' = J(q - lam w)u,
+carried over each piece of ``Problem.pieces`` by one of three steppers,
+each chosen from the expression AST alone:
+
+* constant: where both densities are constant on the piece, the
+  solution is exp((x - lo) A) u(lo) in 2x2 closed form;
+* commuting: where every entry is alpha + beta E(x) for one shared AST
+  node E, A(x) = A0 + Re E(x) AR + Im E(x) AI, and where A0, AR and AI
+  commute pairwise (2x2 matrices commute exactly when their traceless
+  parts are parallel, tested to 16 eps |X| |Y|), the solution is
+  exp((x - lo) A0 + Re I AR + Im I AI) u(lo) with I the integral of E
+  over (lo, x), one closed-form exponential and one scalar quadrature;
+* Magnus: elsewhere, adaptive commutator-free Magnus steps of order 4,
+  each the product of two closed-form exponentials of averages of A at
+  two Gauss-Legendre nodes, with the error held to the tolerances below
+  by step doubling.
+
+At an atom the one-sided limits are coupled by B+ u+ = B- u- with
 
     B+- (x, lam) = J +- (Delta_q(x) - lam Delta_w(x)) / 2,
 
@@ -20,8 +30,9 @@ One walker, ``_walk``, carries a vector or a matrix of columns between
 two points in either direction: a per-piece stepper over each of the
 ``Problem.spans`` between them, the transfer B+^{-1} B- (forward) or
 B-^{-1} B+ (backward) at each atom strictly inside.  ``fundamental_matrix``,
-``eta_solution`` and ``evolve_ac`` run it with the exact / Magnus
-stepper ``_solve_segment``, and the fixed-step oracle with its own.
+``eta_solution`` and ``evolve_ac`` run it with ``_solve_segment``, which
+picks one of the three steppers for each piece, and the fixed-step
+oracle with its own.
 
 Everything here is a pure function of immutable inputs: propagations at
 distinct (lam, c) may run concurrently without coordination, while a
@@ -301,6 +312,11 @@ _B2 = 0.25 + math.sqrt(3.0) / 6.0
 # it needs falls below this fraction of the segment length.
 MIN_STEP = 1e-12
 
+# Interval limit of each quadrature of E on a commuting piece: 2 + sin(1000 x)
+# takes ~8200 intervals over (0, 30).  An integral of E that is not resolved
+# within it raises IntegrationFailureError, as Magnus steps at their floor do.
+E_QUAD_LIMIT = 10_000
+
 
 def _cf4_step(entries, x, h, columns):
     """One Magnus step of size h (either sign) from x for each column
@@ -372,21 +388,73 @@ def _magnus_solve(entries, x0, x1, columns, targets):
     return xs, states
 
 
+def _nearest(xs, x):
+    """Index of the point of the sorted list xs nearest to x."""
+    k = bisect.bisect_left(xs, x)
+    if k == len(xs) or (k > 0 and x - xs[k - 1] < xs[k] - x):
+        k -= 1
+    return k
+
+
 def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
     """Propagate the flat complex state (the two components of each
     column in turn) from x0 to x1, in either direction, inside ``piece``;
     t_eval runs from x0 through points strictly inside to x1.  Returns
-    (states at t_eval, dense callable x -> state): exact where the
-    piece's entries make A constant, adaptive Magnus steps elsewhere,
-    where a dense value is one step from the nearest accepted node."""
+    (states at t_eval, dense callable x -> state) from one of three
+    steppers, tried in this order:
+
+    * exact, exp((x - x0) A), where the piece's entries make A constant
+      (``Problem.constant_system``);
+    * exact, exp((x - x0) A0 + Re I AR + Im I AI) with I the integral
+      of E over (x0, x), where every entry is affine in one shared AST
+      node E and A0, AR, AI commute pairwise, so that exp(int A) is the
+      flow (``Problem.commuting_system``).  I is the ``math.fsum`` of one
+      quadrature of E per interval of t_eval, and a dense value adds one
+      quadrature from the nearest point of t_eval;
+    * adaptive Magnus steps elsewhere, where a dense value is one step
+      from the nearest accepted node.
+    """
     y0 = np.ascontiguousarray(y0_complex, dtype=complex)
     columns = [(complex(u), complex(v)) for u, v in y0.reshape(-1, 2)]
+
+    def apply(p):
+        p11, p12, p21, p22 = p
+        return np.array([c for u, v in columns
+                         for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
+
     a = problem.constant_system(lam, piece)
+    parts = None if a is not None else problem.commuting_system(lam, piece)
     if a is not None:
         def dense(x):
-            p11, p12, p21, p22 = _constant_flow(a, float(x) - x0)
-            return np.array([c for u, v in columns
-                             for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
+            return apply(_constant_flow(a, float(x) - x0))
+    elif parts is not None:
+        e = piece.affine.f
+
+        def integral(lo, hi):
+            return integrate(e, lo, hi, ATOL, RTOL / 10, E_QUAD_LIMIT)[0]
+
+        def flow(x, i):
+            omega = [(x - x0) * p + i.real * r + i.imag * s
+                     for p, r, s in zip(*parts)]
+            try:
+                return apply(_constant_flow(omega, 1.0))
+            except IntegrationFailureError:
+                raise IntegrationFailureError(
+                    f"the solution overflows between x={x0} and x={x}",
+                    location=x) from None
+
+        steps = [integral(lo, hi) for lo, hi in zip(t_eval, t_eval[1:])]
+        xs = list(t_eval)
+        nodes = [complex(math.fsum(v.real for v in steps[:k]),
+                         math.fsum(v.imag for v in steps[:k]))
+                 for k in range(len(xs))]
+        if x1 < x0:
+            xs, nodes = xs[::-1], nodes[::-1]
+
+        def dense(x):
+            x = float(x)
+            k = _nearest(xs, x)
+            return flow(x, nodes[k] + integral(xs[k], x))   # 0 at a node
     else:
         entries = problem.system_matrix(lam)
         xs, states = _magnus_solve(entries, x0, x1, columns, t_eval[1:-1])
@@ -398,9 +466,7 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
 
         def dense(x):
             x = float(x)
-            k = bisect.bisect_left(xs, x)
-            if k == len(xs) or (k > 0 and x - xs[k - 1] < xs[k] - x):
-                k -= 1
+            k = _nearest(xs, x)
             if xs[k] == x:
                 return flat(states[k])
             return flat(_cf4_step(entries, xs[k], x - xs[k], states[k]))

@@ -484,3 +484,13 @@ def test_catalog_traces_keep_every_point_with_closed_form_radii(name, params, la
         want = abs(rec.eval("tau", pt.c, lam)) / abs(C * np.conj(D) - np.conj(C) * D)
         assert isinstance(pt.wset, WeylDisk)
         assert abs(pt.wset.radius - want) <= 1e-9 * want
+
+
+def test_deficiency_indices_refuses_definiteness_from_another_grid():
+    p, _ = builtin_example("free_identity")
+    shared = definiteness(p, c_max=10.0)
+    with pytest.raises(ValueError, match="c_max"):
+        deficiency_indices(p, 1j, c_grid=[2.0, 5.0], definiteness=shared)
+    report = deficiency_indices(p, 1j, c_grid=[2.0, 5.0, 10.0],
+                                definiteness=shared)
+    assert report.diagnostics["definiteUpTo"] == 10.0

@@ -9,7 +9,12 @@ import pytest
 from click.testing import CliRunner
 
 import weyl_canon
+import weyl_canon.classify as classify_module
+from weyl_canon.catalog import builtin_example
+from weyl_canon.classify import default_c_grid, deficiency_indices
 from weyl_canon.cli import main, parse_lambda
+
+from conftest import count_calls
 
 VALID_DOC = json.dumps({"b": 2, "alpha": 0, "q": {},
                         "w": {"d11": "1", "d22": "1"}})
@@ -153,6 +158,23 @@ def test_classify_lesch_malamud_asymmetric(runner):
     assert doc["nPlus"] == 2 and doc["nMinus"] == 1
 
 
+def test_classify_forms_one_gram_matrix_for_all_lambdas(runner, monkeypatch):
+    lams = ["i", "0.5+0.5i", "-0.25-i", "1-0.75i"]
+    args = ["classify", "--example", "lesch_malamud(a=1)", "--count", "8"]
+    for lam in lams:
+        args += ["--lambda", lam]
+    # the same reports, each with its own Gram matrix
+    p, _ = builtin_example("lesch_malamud", a=1.0)
+    grid = default_c_grid(p, count=8)
+    docs = [deficiency_indices(p, parse_lambda(lam), c_grid=grid).to_dict()
+            for lam in lams]
+    calls = count_calls(monkeypatch, classify_module, "kernel_gram")
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    assert result.output == json.dumps(docs, indent=2) + "\n"
+
+
 def test_classify_strict_flag_ok_case(runner):
     result = invoke(runner, ["classify", "--example", "free_identity",
                              "--lambda", "i", "--strict"])
@@ -218,8 +240,10 @@ def test_classify_strict_inconclusive_exit_5(runner):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_classify_integration_failure_exit_4(runner, tmp_path):
-    doc = {"b": 4, "alpha": 0, "q": {},
-           "w": {"d11": "x^(-1/2)", "d22": "x^(-1/2)"}}
+    # J q does not commute with J w, and the Magnus steps cannot start
+    # at the x^(-1/2) singularity
+    doc = {"b": 4, "alpha": 0, "q": {"d12": "x^(-1/2)"},
+           "w": {"d11": "1", "d22": "1"}}
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
     result = invoke(runner, ["classify", "--problem", str(path),

@@ -20,6 +20,7 @@ from weyl_canon.expressions import (
     fold_steps,
     has_variable,
     parse_expr,
+    shared_affine,
     step_roots,
     to_source,
 )
@@ -153,6 +154,27 @@ def test_step_roots_of_real_affine_arguments():
     # not affine, not real, without x or with slope 0: no root
     text = "step(x^2-1)+step(i*x)+step(2)+step(sin(x))+step(0*x+1)"
     assert step_roots(parse_expr(text)) == ()
+
+
+def test_shared_affine_peels_the_first_x_dependent_entry():
+    exprs = [parse_expr(t) for t in
+             ("1+2/(x^2+1)", "-i", "3-(2/(x^2+1))*0.5", "(2/(x^2+1))/4")]
+    node, pairs = shared_affine(exprs)
+    assert node == parse_expr("2/(x^2+1)")
+    assert pairs == ((1, 1), (-1j, 0), (3, -0.5), (0, 0.25))
+    # x itself, and a node that occurs twice
+    assert shared_affine([parse_expr("-1000-x"), parse_expr("2*x+x")]) == \
+        (Variable(), ((-1000, -1), (0, 3)))
+    assert shared_affine([parse_expr("x^(-1/2)")])[1] == ((0, 1),)
+
+
+def test_shared_affine_matches_structure_not_values():
+    assert shared_affine([parse_expr("1"), parse_expr("2")]) is None
+    for pair in (("1+1/(x^2+1)", "1+1/(1+x^2)"),   # equal values, other AST
+                 ("1+x", "1+x^2"),
+                 ("sin(x)", "sin(x)*sin(x)"),
+                 ("1/(x+1)", "(x+1)/(x+1)")):
+        assert shared_affine([parse_expr(t) for t in pair]) is None, pair
 
 
 def test_fold_steps_constant_between_roots():

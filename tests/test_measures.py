@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weyl_canon.errors import SchemaError, ValidationError
+from weyl_canon.expressions import parse_expr
 from weyl_canon.measures import (
     CoefficientMeasure,
     Problem,
@@ -318,6 +319,52 @@ def test_zero_products_fold_into_constant_pieces():
     with pytest.raises(ValidationError, match=r"w density on \(60, inf\)"):
         Problem(math.inf, 0.0, CoefficientMeasure(),
                 CoefficientMeasure(d11="1-2*step(x-60)*(1+0*x)", d22="1"))
+
+
+def _commutator(x, y):
+    x, y = (np.reshape(m, (2, 2)) for m in (x, y))
+    return x @ y - y @ x
+
+
+def test_commuting_system_from_the_shared_affine_node():
+    # lesch_malamud(a=1): A(x) = i lam I - lam (1 + 1/(x^2+1)) J
+    p = Problem(math.inf, 0.0, CoefficientMeasure(),
+                CoefficientMeasure("1+1/(x^2+1)", "-i", "1+1/(x^2+1)"))
+    piece, = p.pieces
+    assert piece.affine.node == parse_expr("1/(x^2+1)")
+    assert piece.affine.alpha == (0, 0, 0, 1, -1j, 1)
+    assert piece.affine.beta == (0, 0, 0, 1, 0, 1)
+    lam = 0.5 - 1j
+    a0, ar, ai = p.commuting_system(lam, piece)
+    assert a0 == (1j * lam, lam, -lam, 1j * lam)
+    assert ar == (0, lam, -lam, 0) and ai == (0, 0, 0, 0)
+    for x in (0.0, 0.7, 3.0):
+        e = 1 / (x * x + 1)
+        assert np.allclose(p.system_matrix(lam)(x),
+                           np.add(a0, np.multiply(e, ar)), rtol=1e-15)
+    assert not np.any(_commutator(a0, ar))
+
+
+def test_commuting_system_refuses_what_does_not_commute():
+    # affine in E = x, but [A0, AR] = 2 lam [[1, 0], [0, -1]] at lam != 0
+    p = Problem(2.0, 0.0, CoefficientMeasure(d11="1000+x", d22="-1000-x"),
+                CoefficientMeasure(d11="1", d22="1"))
+    piece, = p.pieces
+    assert piece.affine.node == parse_expr("x")
+    assert p.commuting_system(1j, piece) is None
+    assert p.commuting_system(0.0, piece) is not None
+    # x^(-1/2) in q12 against the constant w: J q is x^(-1/2) diag(-1, 1)
+    p = Problem(4.0, 0.0, CoefficientMeasure(d12="x^(-1/2)"),
+                CoefficientMeasure(d11="1", d22="1"))
+    assert p.commuting_system(1j, p.pieces[0]) is None
+    # equal values from different ASTs, and two different nodes: no form
+    for w in (CoefficientMeasure("1+1/(x^2+1)", "-i", "1+1/(1+x^2)"),
+              CoefficientMeasure("1+x", "0", "1+x^2")):
+        piece, = Problem(math.inf, 0.0, CoefficientMeasure(), w).pieces
+        assert piece.affine is None
+    # constant pieces are never analysed
+    assert all(piece.affine is None for piece in
+               parse_problem(json.dumps(MINIMAL)).pieces)
 
 
 def test_w_mass_closed_form_at_undeclared_step():

@@ -235,20 +235,91 @@ def test_constant_flow_matches_matrix_exponential(name, a, hs):
 
 # -- adaptive Magnus steps on pieces that are not constant ---------------------
 
-@pytest.mark.parametrize("lam", [1j, 2j, -0.5 + 0.5j, 0.5 - 1j])
+LESCH_MALAMUD_LAMBDAS = [1j, 2j, -0.5 + 0.5j, 0.5 - 1j]
+
+
+@pytest.mark.parametrize("lam", LESCH_MALAMUD_LAMBDAS)
 def test_magnus_stepper_matches_lesch_malamud_closed_form(lam):
+    # the Magnus route, driven directly: fundamental_matrix takes the
+    # commuting stepper on this problem
     p, rec = builtin_example("lesch_malamud", a=1.0)
+    entries = p.system_matrix(lam)
+    grid = list(np.geomspace(0.5, 30.0, 12))
+    xs, states = propagation_module._magnus_solve(
+        entries, 0.0, 30.0, [(1, 0), (0, 1)], grid[:-1])
+    assert len(xs) > 100
+    nodes = dict(zip(xs, states))
+    for x in grid:
+        assert rel_err(np.transpose(nodes[x]), rec.eval("U", x, lam)) <= 1e-11, x
+    # a dense value is one step from the nearest accepted node
+    for x in np.linspace(0.37, 29.3, 7):
+        k = propagation_module._nearest(xs, x)
+        u = propagation_module._cf4_step(entries, xs[k], x - xs[k], states[k])
+        assert rel_err(np.transpose(u), rec.eval("U", x, lam)) <= 1e-11, x
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("lam", LESCH_MALAMUD_LAMBDAS)
+def test_commuting_stepper_matches_lesch_malamud_closed_form(a, lam, monkeypatch):
+    solves = count_calls(monkeypatch, propagation_module, "_magnus_solve")
+    p, rec = builtin_example("lesch_malamud", a=a)
     grid = np.geomspace(0.5, 30.0, 12)
     fm = fundamental_matrix(p, lam, 30.0, grid=grid)
-    # grid points are step nodes; the others are dense values
-    for x in np.concatenate([grid, np.linspace(0.37, 29.3, 7)]):
-        assert rel_err(fm.at(x), rec.eval("U", x, lam)) <= 1e-11, x
+    # grid points are stored samples; the others are dense values
+    for x in np.concatenate([grid, np.linspace(0.37, 29.3, 7), [1e-3]]):
+        assert rel_err(fm.at(x), rec.eval("U", x, lam)) <= 1.5e-14, x
+    # backward, from c to 0
+    beta = 0.3
+    eta = np.array([-math.sin(beta), math.cos(beta)])
+    z = lam * rec.eval("t", 30.0)
+    want = cmath.exp(-30j * lam) * np.array(
+        [[cmath.cos(z), -cmath.sin(z)], [cmath.sin(z), cmath.cos(z)]]) @ eta
+    assert rel_err(eta_solution(p, lam, 30.0, beta), want) <= 1.5e-14
+    assert solves == []
+
+
+def _magnus_cases():
+    """Problems whose entries vary with x and that must take the Magnus
+    route, with a reference for U(x, lam) at x = 3."""
+    _, lm = builtin_example("lesch_malamud", a=1.0)
+    # lesch_malamud(a=1) with d22 spelled differently: the entries
+    # commute in value, but they share no AST node
+    same_values = Problem(math.inf, 0.0, CoefficientMeasure(), CoefficientMeasure(
+        "1+1/(x^2+1)", "-i", "1+1/(1+x^2)"))
+    yield same_values, lambda lam: lm.eval("U", 3.0, lam)
+    # affine in E = x, but [J q, J w] != 0
+    affine = Problem(2.0, 0.0, CoefficientMeasure(d11="1+x", d22="-1-x"),
+                     CoefficientMeasure(d11="1", d22="1"))
+    two_nodes = Problem(4.0, 0.0, CoefficientMeasure(),
+                        CoefficientMeasure(d11="1+x", d22="1+x^2"))
+    for p in (affine, two_nodes):
+        def oracle(lam, p=p):
+            return fixed_step_propagate(p, lam, 3.0 if p.b > 3 else 1.5,
+                                        OracleConfig(step=1e-3))
+        yield p, oracle
+
+
+@pytest.mark.parametrize("lam", [1j, 0.5 - 1j])
+def test_shortcut_is_decided_from_the_ast_only(lam, monkeypatch):
+    solves = count_calls(monkeypatch, propagation_module, "_magnus_solve")
+    for p, reference in _magnus_cases():
+        assert p.commuting_system(lam, p.pieces[0]) is None
+        c = 3.0 if p.b > 3 else 1.5
+        got = fundamental_matrix(p, lam, c).at(c)
+        want = reference(lam)
+        want = want.at(c) if isinstance(want, FundamentalMatrix) else want
+        assert rel_err(got, want) <= 1e-9
+    assert len(solves) == 3
+
+
+def _non_commuting_problem():
+    return Problem(4.0, 0.0,
+                   CoefficientMeasure(d11="sin(2*x)", d12="0.5*x-0.3*i", d22="cos(x)"),
+                   CoefficientMeasure(d11="1+x^2/4", d12="0.3*i*x", d22="2-cos(3*x)"))
 
 
 def test_magnus_stepper_matches_oracle_where_a_does_not_commute():
-    p = Problem(4.0, 0.0,
-                CoefficientMeasure(d11="sin(2*x)", d12="0.5*x-0.3*i", d22="cos(x)"),
-                CoefficientMeasure(d11="1+x^2/4", d12="0.3*i*x", d22="2-cos(3*x)"))
+    p = _non_commuting_problem()
     lam = 0.7 + 1.2j
     a1, a2 = (_flat_matrix(p.system_matrix(lam)(x)) for x in (0.5, 2.0))
     assert np.linalg.norm(a1 @ a2 - a2 @ a1) > 1.0
@@ -292,11 +363,34 @@ def test_dense_values_between_samples_match_oracle(rng):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solver_failure_raises_integration_failure():
-    # integrable near 0, so validation accepts it, but DOP853 cannot start
-    p = Problem(4.0, 0.0, CoefficientMeasure(),
-                CoefficientMeasure(d11="x^(-1/2)", d22="x^(-1/2)"))
+    # integrable near 0, so validation accepts it; J q = x^(-1/2) diag(-1, 1)
+    # does not commute with J w = J, and the Magnus steps cannot start
+    p = Problem(4.0, 0.0, CoefficientMeasure(d12="x^(-1/2)"),
+                CoefficientMeasure(d11="1", d22="1"))
+    assert p.commuting_system(1j, p.pieces[0]) is None
     with pytest.raises(IntegrationFailureError):
         fundamental_matrix(p, 1j, 2.0)
+
+
+@pytest.mark.parametrize("lam", [1j, 0.5 - 1j])
+@pytest.mark.parametrize("density, antiderivative, c", [
+    # integrable singularity at 0; Magnus steps cannot start there
+    ("x^(-1/2)", lambda x: 2 * math.sqrt(x), 2.0),
+    # 480 oscillations of the density over (0, 30)
+    ("2+sin(100*x)", lambda x: 2 * x + (1 - math.cos(100 * x)) / 100, 30.0),
+], ids=["singular", "oscillating"])
+def test_scalar_density_times_identity_propagates_exactly(lam, density,
+                                                          antiderivative, c):
+    # A = -lam f(x) J commutes with itself: U = exp(-lam F(x) J), F' = f
+    p = Problem(math.inf, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11=density, d22=density))
+    grid = [0.01, 0.5, 1.0]
+    fm = fundamental_matrix(p, lam, c, grid=grid)
+    for x in grid + [c, 1e-4, 0.3, 1.7]:
+        z = lam * antiderivative(x)
+        want = np.array([[cmath.cos(z), cmath.sin(z)],
+                         [-cmath.sin(z), cmath.cos(z)]])
+        assert rel_err(fm.at(x), want) <= 1e-12, x
 
 
 def test_overflowing_solution_raises_integration_failure():
@@ -305,6 +399,7 @@ def test_overflowing_solution_raises_integration_failure():
     q = CoefficientMeasure(d11="1000+x", d22="-1000-x")
     w = CoefficientMeasure(d11="1", d22="1")
     p = Problem(2.0, 0.0, q, w)
+    assert p.commuting_system(1j, p.pieces[0]) is None    # Magnus route
     u = fundamental_matrix(p, 1j, 0.5).at(0.5)
     assert np.all(np.isfinite(u)) and np.abs(u).max() > 1e200
     with pytest.raises(IntegrationFailureError, match="overflows") as info:
@@ -341,11 +436,13 @@ def test_constant_pieces_never_call_the_ode_solver(rng, monkeypatch):
     assert len(trace.points) > 0
     assert solves == []
 
-    # q = 0 is constant, and at lam = 0 the x-dependent w does not enter A
+    # q = 0 is constant, and at lam = 0 the x-dependent w does not enter A;
+    # at lam != 0, A(x) = i lam I - lam (1 + 1/(x^2+1)) J commutes with itself
     smooth, _ = builtin_example("lesch_malamud", a=1.0)
     kernel_gram(smooth, 2.0)
-    assert solves == []
     fundamental_matrix(smooth, 1j, 1.0)
+    assert solves == []
+    fundamental_matrix(_non_commuting_problem(), 0.7 + 1.2j, 1.0)
     assert len(solves) >= 1
 
 
