@@ -18,13 +18,8 @@ from pathlib import Path
 import click
 
 from .catalog import builtin_example, catalog_names, parse_example_spec
-from .classify import (
-    ClassifyConfig,
-    default_c_grid,
-    deficiency_indices,
-    definiteness,
-    trace_disks,
-)
+from .classify import (ClassifyConfig, default_c_grid, deficiency_indices,
+                       definiteness, trace_disks)
 from .errors import (
     BadPointError,
     InconclusiveError,

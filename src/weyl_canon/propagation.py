@@ -751,9 +751,12 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
 
     At lambda = 0, A = Jq vanishes on a piece where q = 0, so U(.,0) is
     the constant u there and the span contributes u* (int w) u, with
-    int w the piece's constant w times the length where w is constant
-    and one matrix quadrature of the density where it is not.  On every
-    other span U(.,0)* w U(.,0) is integrated by one matrix quadrature.
+    int w the piece's constant w times the length where w is constant,
+    alpha times the length plus beta int E from one scalar quadrature
+    where the entries share an affine node E (``Piece.affine``; the
+    density matrix is real-linear in its entries), and one matrix
+    quadrature of the density elsewhere.  On every other span
+    U(.,0)* w U(.,0) is integrated by one matrix quadrature.
     """
     c_max = float(c_max)
     report = bad_points(problem, 0.0)
@@ -770,9 +773,15 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
         if piece.values[:3] != (0, 0, 0):
             return None
         u = fm.at(0.5 * (lo + hi))
-        w = piece.values[3:]
-        w = (integrate(problem.w.density, lo, hi, 1e-13, 1e-11, 200)[0]
-             if None in w else _density_matrix(*w) * (hi - lo))
+        w, form = piece.values[3:], piece.affine
+        if None not in w:
+            w = _density_matrix(*w) * (hi - lo)
+        elif form is not None:
+            e = integrate(form.f, lo, hi, 1e-13, 1e-11, 200)[0]
+            w = _density_matrix(*(a * (hi - lo) + b * e for a, b
+                                  in zip(form.alpha[3:], form.beta[3:])))
+        else:
+            w = integrate(problem.w.density, lo, hi, 1e-13, 1e-11, 200)[0]
         return u.conj().T @ w @ u
 
     G = problem.integrate(integrand, 0.0, c_max, epsabs=1e-13, epsrel=1e-11,

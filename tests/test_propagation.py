@@ -278,6 +278,20 @@ def test_commuting_stepper_matches_lesch_malamud_closed_form(a, lam, monkeypatch
     assert solves == []
 
 
+def test_commuting_stepper_reads_the_imaginary_part_of_the_integral():
+    # q12 = i e^{ix}, w = 0 (not a valid problem, hence validate=False):
+    # A = diag(i e^{-ix}, i e^{ix}) = Re E i I + Im E diag(1, -1), E = e^{ix}
+    p = Problem(4.0, 0.0, CoefficientMeasure(d12="i*exp(i*x)"),
+                CoefficientMeasure(), validate=False)
+    a0, ar, ai = p.commuting_system(1j, p.pieces[0])
+    assert ar == (1j, 0, 0, 1j) and ai == (1, 0, 0, -1)
+    fm = fundamental_matrix(p, 1j, 3.0, grid=[1.0, 2.0])
+    for x in (1.0, 2.0, 3.0, 0.4, 2.7):
+        want = np.diag([cmath.exp(1 - cmath.exp(-1j * x)),
+                        cmath.exp(cmath.exp(1j * x) - 1)])
+        assert rel_err(fm.at(x), want) <= 1e-14, x
+
+
 def _magnus_cases():
     """Problems whose entries vary with x and that must take the Magnus
     route, with a reference for U(x, lam) at x = 3."""
@@ -625,9 +639,13 @@ def test_kernel_gram_lesch_malamud_a0():
     assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
-def test_kernel_gram_lesch_malamud_a1_definite():
+def test_kernel_gram_lesch_malamud_a1_definite(monkeypatch):
     p, _ = builtin_example("lesch_malamud", a=1.0)
+    # int w = (x + atan x) I + x [[0, -i], [i, 0]] from alpha, beta and one
+    # scalar quadrature of 1/(x^2+1): the density matrix is never sampled
+    densities = count_calls(monkeypatch, CoefficientMeasure, "density")
     gram = kernel_gram(p, 10.0)
+    assert densities == []
     assert gram.min_eigenvalue == pytest.approx(math.atan(10.0), rel=1e-8)
 
 
