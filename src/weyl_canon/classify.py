@@ -37,7 +37,6 @@ from .propagation import bad_points, fundamental_matrix, kernel_gram
 from .weyl import (
     WeylDisk,
     WeylHalfPlane,
-    _disk_denominator,
     conjugate_fundamental,
     norm_lagrange,
     null_norm_tolerance,
@@ -211,11 +210,11 @@ def _traces(problem, lams, c_grid, policy):
     single propagation at lam_up.  Checks every lam against Lambda first;
     conj(lam) lies in Lambda exactly when lam does, since
     det B+-(conj lam) = conj det B-+(lam).  Each disk's radius comes from
-    the trace's tau profile.  On the disk branch a trace stops where the
-    disk's denominator, which is also the psi norm's Lagrange numerator,
-    falls into the rounding noise of its products; it is tested before
-    the norms read it.  That point does not depend on the side, since
-    the noise ratio is invariant under U -> t conj(U)."""
+    the trace's tau profile.  On the disk branch a trace stops where
+    ``weyl_set`` finds the disk's denominator, which is also the psi
+    norm's Lagrange numerator, in the rounding noise of its products.
+    That point does not depend on the side, since the noise ratio is
+    invariant under U -> t conj(U)."""
     for lam in lams:
         if lam.imag == 0.0:
             raise ValueError("trace_disks needs Im lam != 0")
@@ -225,6 +224,7 @@ def _traces(problem, lams, c_grid, policy):
 
     lam_up = complex(lams[0].real, abs(lams[0].imag))
     fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
+    tols = [null_norm_tolerance(problem, c) for c in c_grid]
     traces = []
     for lam in lams:
         taus = tau_profile(problem, lam, c_grid)
@@ -232,17 +232,11 @@ def _traces(problem, lams, c_grid, policy):
         u0 = fm.at(0.0)
         points = []
         truncated_at = None
-        for c, ts in zip(c_grid, taus):
+        for c, ts, tol_null in zip(c_grid, taus, tols):
             uc = fm.at(float(c))
-            C, D = uc[0, 1], uc[1, 1]
-            tol_null = null_norm_tolerance(problem, c)
-            # |C conj(D) - conj(C) D| = 2 |Im lam| ||psi||^2: the disk branch
-            disk = abs(C * np.conj(D) - np.conj(C) * D) > 2.0 * abs(lam.imag) * tol_null
+            n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
+            n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
             try:
-                if disk:
-                    _disk_denominator(C, D, c)
-                n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
-                n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
                 ws = weyl_set(fm, c, n_psi, tol_null=tol_null, tau=ts.value)
             except DegenerateUError:
                 if not points:
@@ -622,7 +616,6 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
     verdict_up = safe_detect(trace_up)
     verdict_dn = safe_detect(trace_dn)
     requested_is_upper = lam.imag > 0
-    trace_req = trace_up if requested_is_upper else trace_dn
 
     def side_diag(trace, psi_info, phi_info, verdict):
         disks = trace.disk_points()
@@ -658,7 +651,7 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
         null_vector=defres.null_vector,
         n_plus=n_plus,
         n_minus=n_minus,
-        tau_trend=classify_tau_trend(trace_req.cs, trace_req.tau_abs, config),
+        tau_trend=tau_up if requested_is_upper else tau_dn,
         tau_trend_conjugate=tau_dn if requested_is_upper else tau_up,
         inconclusive=inconclusive,
         diagnostics=diagnostics,

@@ -86,8 +86,8 @@ class DegenerateHalfPlaneError(WeylCanonError):
 
 
 class NonRealResultError(WeylCanonError):
-    """A quantity that must be real (a Lagrange-identity norm) came out
-    with a significant imaginary part; signals a propagation defect."""
+    """A quantity that must be a real number (a Lagrange-identity norm)
+    came out non-finite; signals a propagation defect."""
 
 
 class InconclusiveError(WeylCanonError):

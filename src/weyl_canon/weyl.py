@@ -19,6 +19,9 @@ r = |tau| / (2 |Im lam| ||psi||_c^2).  ``weyl_set`` takes the radius
 cancels to rounding noise where det U decays while U grows.  Only
 ``radius_identity_residual`` reads the entry determinant, so that the
 identity stays an independent check.
+
+Every Lagrange quantity reads one scalar, Im(conj(u1) u2) = i u* J u / 2:
+the norms, the disk's denominator and the half plane's level.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .propagation import (
     RTOL,
     AtomCrossing,
     FundamentalMatrix,
-    J,
     SampledSolution,
     atom_jumps,
     bad_points,
@@ -175,29 +177,31 @@ class NormValue:
     method: str
 
 
+def _lagrange(u) -> float:
+    """Im(conj(u1) u2), the one scalar behind every Lagrange quantity:
+    u* J u = -2i Im(conj(u1) u2) is exactly imaginary for every u."""
+    u1, u2 = u
+    return float(u1.real * u2.imag - u1.imag * u2.real)
+
+
 def norm_lagrange(u0, uc, lam, c=None) -> NormValue:
     """||u||_c^2 from the boundary values alone:
 
-        ||u||_c^2 = ((u* J u)(c) - (u* J u)(0)) / (2i Im lam),
+        ||u||_c^2 = ((u* J u)(c) - (u* J u)(0)) / (2i Im lam)
+                  = (Im(conj(u1) u2)(0) - Im(conj(u1) u2)(c)) / Im lam,
 
-    valid for any solution of the lam-equation at continuity points.
-    The result must be real; a significant imaginary part signals a
-    propagation defect and raises NonRealResultError.
+    valid for any solution of the lam-equation at continuity points and
+    real by construction.  A non-finite value signals a propagation
+    defect and raises NonRealResultError.
     """
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ValueError("the Lagrange norm identity needs Im lam != 0")
-    u0 = np.asarray(u0, dtype=complex)
-    uc = np.asarray(uc, dtype=complex)
-    sc = complex(np.vdot(uc, J @ uc))
-    s0 = complex(np.vdot(u0, J @ u0))
-    value = (sc - s0) / (2j * lam.imag)
-    bad = not (math.isfinite(value.real) and math.isfinite(value.imag))
-    if bad or abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
-        raise NonRealResultError(
-            f"Lagrange norm came out non-real: {value}")
+    value = (_lagrange(u0) - _lagrange(uc)) / lam.imag
+    if not math.isfinite(value):
+        raise NonRealResultError(f"Lagrange norm came out non-finite: {value}")
     return NormValue(float(c) if c is not None else math.nan,
-                     value.real, "lagrange")
+                     value, "lagrange")
 
 
 def norm_quadrature(problem: Problem, sol: SampledSolution, c) -> NormValue:
@@ -300,13 +304,14 @@ def det_noise_ratio(entries) -> float:
 
 
 def _disk_denominator(C, D, c) -> complex:
-    """C conj(D) - conj(C) D, the Weyl disk's denominator and, since U(0)
-    is real, 2i Im lam ||psi||_c^2 by the Lagrange identity.
+    """C conj(D) - conj(C) D = -2i Im(conj(C) D), the Weyl disk's
+    denominator and, since U(0) is real, 2i Im lam ||psi||_c^2 by the
+    Lagrange identity.
 
     Raises DegenerateUError when it is lost in the rounding noise of its
     two products, RTOL 2|C||D| / |C conj(D) - conj(C) D| > 1e-2: c is
     then past the range where double precision resolves the disk."""
-    denom = C * np.conj(D) - np.conj(C) * D
+    denom = complex(0.0, -2.0 * _lagrange((C, D)))
     if abs(denom) <= 100.0 * RTOL * 2.0 * abs(C) * abs(D):
         raise DegenerateUError(
             f"C conj(D) - conj(C) D = {denom:.3e} at c={c} is within the "
@@ -337,14 +342,12 @@ def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None, tau=None):
             f"lambda={lam} lies in Lambda: U(., lambda) is singular and "
             "has no Weyl set")
     c = float(c)
-    A, B, C, D = fm.entries(c)
+    A, B, C, D = entries = fm.entries(c)
     if tol_null is None:
         tol_null = null_norm_tolerance(fm.problem, c)
 
-    entries = (A, B, C, D)
     if norm_psi_sq <= tol_null:
-        sigma = A * np.conj(B) - np.conj(A) * B  # purely imaginary
-        level = float((A * np.conj(B)).imag)     # sigma / (2i)
+        level = -_lagrange((A, B))
         rho = A * np.conj(D) - B * np.conj(C)
         return WeylHalfPlane(c, lam, level, 1 if lam.imag > 0 else -1,
                              complex(rho), entries)

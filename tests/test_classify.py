@@ -6,6 +6,7 @@ import pytest
 from weyl_canon.catalog import builtin_example
 import weyl_canon.classify
 import weyl_canon.propagation
+import weyl_canon.weyl
 from weyl_canon.classify import (
     ClassifyConfig,
     all_solutions_l2,
@@ -20,7 +21,12 @@ from weyl_canon.measures import CoefficientMeasure, Problem
 from weyl_canon.propagation import fundamental_matrix
 from weyl_canon.weyl import WeylDisk, norm_lagrange
 
-from conftest import pick_lambda_outside_bad_set, random_piecewise_problem, rel_err
+from conftest import (
+    count_calls,
+    pick_lambda_outside_bad_set,
+    random_piecewise_problem,
+    rel_err,
+)
 
 
 def halfplane_problem(w22="1/((1+x)^2)"):
@@ -319,16 +325,52 @@ def test_config_thresholds_exposed():
     assert verdict.kind == "LimitPoint"
 
 
-def test_trace_truncation_is_reported():
+def truncating_problem():
     # q = diag(1, -1) with w = I on (0, 1) only: psi grows like e^x while
     # its w-norm stays bounded, so the disk's denominator
     # C conj(D) - conj(C) D falls into the rounding noise of |C||D|
-    p = Problem(math.inf, 0.0, CoefficientMeasure(d11="1", d22="-1"),
-                CoefficientMeasure(d11="step(1-x)", d22="step(1-x)"))
-    trace = trace_disks(p, 1j)
-    assert trace.truncated_at is not None
-    assert len(trace.points) >= 8
+    return Problem(math.inf, 0.0, CoefficientMeasure(d11="1", d22="-1"),
+                   CoefficientMeasure(d11="step(1-x)", d22="step(1-x)"))
+
+
+@pytest.mark.parametrize("lam, kept, truncated_at", [
+    (1j, 18, 14.3221), (2j, 18, 14.3221), (0.5 + 0.5j, 17, 12.3534)],
+    ids=["i", "2i", "0.5+0.5i"])
+def test_trace_truncation_is_reported(lam, kept, truncated_at):
+    trace = trace_disks(truncating_problem(), lam)
+    assert trace.truncated_at == pytest.approx(truncated_at, abs=1e-4)
+    assert len(trace.points) == kept
     assert trace.points[-1].c < trace.truncated_at
+
+
+def test_trace_judges_each_disk_denominator_once(monkeypatch):
+    # counted wherever the name is bound, so a module that imported it
+    # and judges the denominator itself is counted too
+    counts = [count_calls(monkeypatch, module, "_disk_denominator")
+              for module in (weyl_canon.weyl, weyl_canon.classify)
+              if hasattr(module, "_disk_denominator")]
+    p, _ = builtin_example("constant_w")
+    trace = trace_disks(p, 1j)
+    assert len(trace.disk_points()) == len(trace.points) == 24
+    assert sum(len(calls) for calls in counts) == 24
+
+
+def test_truncated_traces_still_give_the_indices():
+    # w = 0 beyond x = 1, so every solution is in L^2(w): (2, 2) at any lam
+    report = deficiency_indices(truncating_problem(), 2j)
+    assert (report.n_plus, report.n_minus) == (2, 2)
+    assert not report.inconclusive
+
+
+def test_asymmetric_indices_need_opposite_tau_trends(monkeypatch):
+    monkeypatch.setattr(weyl_canon.classify, "classify_tau_trend",
+                        lambda cs, tau_abs, config=None: "boundedAway")
+    p, _ = builtin_example("lesch_malamud", a=1.0)
+    report = deficiency_indices(p, 1j)
+    assert report.n_plus is None and report.n_minus is None
+    assert report.inconclusive
+    assert any("opposite tau trends" in note
+               for note in report.diagnostics["notes"])
 
 
 def test_caller_grid_perturbed_off_atoms():

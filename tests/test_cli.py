@@ -116,14 +116,29 @@ def test_disks_json_format_and_multi_lambda(runner):
     assert all(t["truncatedAt"] is None for t in doc["traces"])
 
 
-def test_disks_truncation_note(runner, tmp_path):
+@pytest.fixture
+def truncating_problem_path(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"b": "inf", "alpha": 0,
                                 "q": {"d11": "1", "d22": "-1"},
                                 "w": {"d11": "step(1-x)", "d22": "step(1-x)"}}))
-    result = invoke(runner, ["disks", "--problem", str(path), "--lambda", "i"])
+    return path
+
+
+@pytest.mark.parametrize("lam", ["i", "2i"])
+def test_disks_truncation_note(runner, truncating_problem_path, lam):
+    result = invoke(runner, ["disks", "--problem", str(truncating_problem_path),
+                             "--lambda", lam])
     assert result.exit_code == 0
     assert "truncated" in result.output  # stderr note about det U noise floor
+
+
+def test_classify_on_a_truncated_trace(runner, truncating_problem_path):
+    result = invoke(runner, ["classify", "--problem", str(truncating_problem_path),
+                             "--lambda", "2i"])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert (doc["nPlus"], doc["nMinus"]) == (2, 2)
 
 
 @pytest.mark.parametrize("command", ["disks", "classify", "tau"])

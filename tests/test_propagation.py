@@ -338,10 +338,17 @@ def test_magnus_stepper_matches_oracle_where_a_does_not_commute():
     a1, a2 = (_flat_matrix(p.system_matrix(lam)(x)) for x in (0.5, 2.0))
     assert np.linalg.norm(a1 @ a2 - a2 @ a1) > 1.0
     grid = [0.7, 1.9]
+    dense = [0.33, 1.234, 2.61]     # off the accepted Magnus nodes
     fm = fundamental_matrix(p, lam, 3.0, grid=grid)
-    oracle = fixed_step_propagate(p, lam, 3.0, OracleConfig(step=1e-3), grid=grid)
-    for x in grid + [3.0]:
+    oracle = fixed_step_propagate(p, lam, 3.0, OracleConfig(step=1e-3),
+                                  grid=sorted(grid + dense))
+    for x in grid + dense + [3.0]:
         assert rel_err(fm.at(x), oracle.at(x)) < 1e-9
+    # the backward walk: alpha = 0, so U(0) = I and eta(0) = U(3)^-1 eta(3)
+    beta = 0.4
+    eta = np.array([-math.sin(beta), math.cos(beta)], dtype=complex)
+    assert rel_err(eta_solution(p, lam, 3.0, beta),
+                   np.linalg.solve(fm.at(3.0), eta)) <= 1e-9
 
 
 def test_polynomial_density_with_zeros_at_the_probe_points_is_propagated():
