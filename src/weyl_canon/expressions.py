@@ -14,8 +14,8 @@ cos, exp, log, atan, sqrt, step.  ``step(u)`` is 0 for u < 0, 1 for
 u > 0 and 1/2 at u = 0, so piecewise-defined densities are encoded
 exactly: ``step_roots`` finds the jumps of steps with affine arguments,
 ``fold_steps`` reduces an expression to its form on one piece between
-them, and ``shared_affine`` writes several such forms as alpha + beta E
-with one shared AST node E where their structure allows it.
+them, and ``shared_affine`` writes each of several such forms as
+alpha + beta E with one shared AST node E where its structure allows it.
 
 ``parse_expr`` builds an AST, ``eval_expr`` evaluates it at a real x
 with full domain checking, and ``compile_expr`` turns it into a plain
@@ -333,10 +333,7 @@ def _affine(node, var=Variable()):
     if node == var:
         return 1 + 0j, 0j
     if not has_variable(node):
-        try:
-            return 0j, eval_expr(node, 0.0)
-        except ExpressionDomainError:
-            return None
+        return _constant(node)
     if isinstance(node, Unary):
         inner = _affine(node.operand, var)
         return None if inner is None else (-inner[0], -inner[1])
@@ -359,16 +356,25 @@ def _affine(node, var=Variable()):
     return None
 
 
-def shared_affine(exprs):
-    """(E, ((alpha, beta), ...)) with each of ``exprs`` equal to
-    alpha + beta*E by its structure, for one AST node E; None when some
-    expression is not of that form or none depends on x.  E is the first
-    expression that depends on x with its affine wrappers (negation, and
-    sums, products and quotients with a constant) peeled off, so that
-    ``1+2/(x^2+1)`` gives E = ``2/(x^2+1)``."""
-    node = next((e for e in exprs if has_variable(e)), None)
-    if node is None:
+def _constant(node):
+    """(0, value) for an AST without x, None where it does not evaluate."""
+    try:
+        return 0j, eval_expr(node, 0.0)
+    except ExpressionDomainError:
         return None
+
+
+def shared_affine(exprs):
+    """(E, forms): one AST node E, and for each of ``exprs`` its form
+    (alpha, beta) with the expression equal to alpha + beta*E by its
+    structure (beta = 0 for an expression without x), or None where it
+    has no such form or is a constant that does not evaluate.  E is None
+    when no expression depends on x, and otherwise the first one that
+    does with its affine wrappers (negation, and sums, products and
+    quotients with a constant) peeled off, so that ``1+2/(x^2+1)`` gives
+    E = ``2/(x^2+1)``."""
+    varying = [has_variable(e) for e in exprs]
+    node = next((e for e, v in zip(exprs, varying) if v), None)
     while True:
         if isinstance(node, Unary):
             node = node.operand
@@ -378,10 +384,8 @@ def shared_affine(exprs):
             node = node.left
         else:
             break
-    forms = [_affine(e, node) for e in exprs]
-    if None in forms:
-        return None
-    return node, tuple((b, a) for a, b in forms)
+    forms = [_affine(e, node) if v else _constant(e) for e, v in zip(exprs, varying)]
+    return node, tuple([None if f is None else (f[1], f[0]) for f in forms])
 
 
 def _step_line(node):

@@ -43,7 +43,6 @@ from .expressions import (
 from .quadrature import integrate
 
 __all__ = [
-    "AffineForm",
     "Atom",
     "CoefficientMeasure",
     "Piece",
@@ -244,32 +243,50 @@ def _commute(x, y) -> bool:
     return gap <= _COMMUTE_TOL * math.hypot(*map(abs, x)) * math.hypot(*map(abs, y))
 
 
-class AffineForm(NamedTuple):
-    """The six density entries of a piece as alpha_k + beta_k E(x), with
-    one shared AST node E (``expressions.shared_affine``) and E compiled
-    as ``f``."""
-
-    node: Expr
-    f: object
-    alpha: tuple
-    beta: tuple
+# Interval limit of each quadrature of E on a piece: 2 + sin(1000 x) takes
+# ~8200 intervals over (0, 30).  An integral of E that is not resolved
+# within it raises IntegrationFailureError, as Magnus steps at their floor do.
+E_QUAD_LIMIT = 10_000
 
 
 class Piece(NamedTuple):
     """The open interval (lo, hi) between consecutive discontinuities,
-    with the six density entries (q11, q12, q22, w11, w12, w22) there:
-    each is its exact constant value on the piece, or None where it
-    still depends on x.  ``affine`` is their ``AffineForm`` where some
-    entry depends on x and all are affine in one shared node, else None."""
+    with the forms (alpha, beta) of its six density entries (q11, q12,
+    q22, w11, w12, w22) in its AST node E, ``node``, compiled as ``f``
+    (``expressions.shared_affine``): each entry is alpha + beta E(x), or
+    its form is None.  ``values`` holds alpha where beta = 0, the exact
+    constant value, and None elsewhere; node and f are None where no
+    entry depends on x."""
 
     lo: float
     hi: float
     values: tuple
-    affine: AffineForm | None = None
+    forms: tuple
+    node: Expr | None = None
+    f: object = None
 
     @property
     def constant(self) -> bool:
         return None not in self.values
+
+    def integral(self, lo, hi):
+        """The integral of E over (lo, hi) inside the piece, held to 1e-14
+        absolute and 1e-13 relative within ``E_QUAD_LIMIT`` intervals: the
+        only quadrature of E."""
+        return integrate(self.f, lo, hi, 1e-14, 1e-13, E_QUAD_LIMIT)[0]
+
+    def integrals(self, lo, hi, ks):
+        """[alpha (hi - lo) + beta int E] over (lo, hi) for the entries ks,
+        from at most one ``integral``; None when one of them has no form."""
+        forms = [self.forms[k] for k in ks]
+        if None in forms:
+            return None
+        h, e, out = hi - lo, None, []
+        for a, b in forms:
+            if b and e is None:
+                e = self.integral(lo, hi)
+            out.append(a * h + b * e if b else a * h)
+        return out
 
 
 class Problem:
@@ -288,11 +305,11 @@ class Problem:
     ``discontinuities`` holds the points of (0, b) that are atom
     positions, declared breakpoints or roots of a ``step`` argument that
     is affine in x; ``pieces`` splits (0, b) there, each piece with the
-    constant entries and, where some entry depends on x, their shared
-    affine form (``Piece.affine``).  Both tables are
+    form alpha + beta E of every entry (``Piece``).  Both tables are
     independent of lambda and built once, also when validate is False;
     an entry that is constant on a piece but undefined there is rejected
-    then too.  ``spans`` clips the pieces to a range for validation,
+    then too.  ``commuting_system`` reads a piece's forms into the
+    system on it.  ``spans`` clips the pieces to a range for validation,
     every integral over x (``integrate``), the walker and the oracle.
     """
 
@@ -324,22 +341,19 @@ class Problem:
         cuts = list(self.discontinuities)
         pieces = []
         for lo, hi in zip([0.0] + cuts, cuts + [self.b]):
-            values, folded = [], [fold_steps(expr, lo, hi) for expr in entries]
-            for label, expr in zip(_ENTRY_LABELS, folded):
-                if has_variable(expr):
-                    values.append(None)
-                    continue
-                try:
-                    values.append(eval_expr(expr, lo))
-                except ExpressionDomainError as exc:
-                    raise ValidationError(
-                        f"{label} on ({lo:.6g}, {hi:.6g}): {exc}") from None
-            affine = None if None not in values else shared_affine(folded)
-            if affine is not None:
-                node, pairs = affine
-                alpha, beta = zip(*pairs)
-                affine = AffineForm(node, compile_expr(node), alpha, beta)
-            pieces.append(Piece(lo, hi, tuple(values), affine))
+            folded = [fold_steps(expr, lo, hi) for expr in entries]
+            node, forms = shared_affine(folded)
+            values = []
+            for label, expr, form in zip(_ENTRY_LABELS, folded, forms):
+                if form is None and not has_variable(expr):
+                    try:     # a constant without a form does not evaluate
+                        eval_expr(expr, lo)
+                    except ExpressionDomainError as exc:
+                        raise ValidationError(
+                            f"{label} on ({lo:.6g}, {hi:.6g}): {exc}") from None
+                values.append(None if form is None or form[1] else form[0])
+            f = None if node is None else compile_expr(node)
+            pieces.append(Piece(lo, hi, tuple(values), forms, node, f))
         return tuple(pieces)
 
     def spans(self, lo, hi):
@@ -356,9 +370,8 @@ class Problem:
         from left to right, so that no quadrature spans a discontinuity.
 
         ``piece_integral(piece, a, b)``, where given, returns the integral
-        of f over the span (a, b) of ``piece`` from what ``piece.values``
-        already holds (an entry's constant value times b - a, say), or
-        None where f still depends on x there.  f is integrated by one
+        of f over the span (a, b) of ``piece`` from what its forms give
+        (``Piece.integrals``), or None where they do not determine it.  f is integrated by one
         adaptive quadrature at the given tolerances on each span where
         it returns None, and only there."""
         total = 0
@@ -499,30 +512,28 @@ class Problem:
         fq, fw = self.q._ftuple, self.w._ftuple
         return lambda x: _system(lam, fq(x), fw(x))
 
-    def constant_system(self, lam, piece):
-        """The constant A of system_matrix on ``piece`` when it is
-        constant there (q is, and w is or lam = 0), else None."""
-        lam = complex(lam)
-        q = piece.values[:3]
-        w = (0, 0, 0) if lam == 0 else piece.values[3:]   # w does not enter A at 0
-        return None if None in q + w else _system(lam, q, w)
-
     def commuting_system(self, lam, piece):
         """(A0, AR, AI), flat like system_matrix, with
-        A(x) = A0 + Re E(x) AR + Im E(x) AI on ``piece`` when its entries
-        share an affine node E (``piece.affine``) and the three commute
-        pairwise, else None: then exp((x - lo) A0 + Re I AR + Im I AI),
-        with I the integral of E over (lo, x), carries u from lo to x.
-        ``_system`` is real-linear in the six entries, so AR and AI are
-        it at the coefficients beta and i beta.  Decided from the AST's
-        constants alone, never from samples."""
-        form = piece.affine
-        if form is None:
-            return None
+        A(x) = A0 + Re E(x) AR + Im E(x) AI on ``piece`` for its node E
+        where the three commute pairwise, else None: then
+        exp((x - lo) A0 + Re I AR + Im I AI), with I the integral of E
+        over (lo, x), carries u from lo to x.  It reads the forms of q,
+        and of w unless lam = 0, where w does not enter A; where they are
+        all constant, AR = AI = 0 without a commutator test.  ``_system``
+        is real-linear in the six entries, so AR and AI are it at the
+        coefficients beta and i beta.  Decided from the AST's constants
+        alone, never from samples."""
         lam = complex(lam)
-        ibeta = [1j * b for b in form.beta]
-        a0 = _system(lam, form.alpha[:3], form.alpha[3:])
-        ar = _system(lam, form.beta[:3], form.beta[3:])
+        values = piece.values if lam != 0 else piece.values[:3] + (0, 0, 0)
+        if None not in values:
+            return _system(lam, values[:3], values[3:]), (0,) * 4, (0,) * 4
+        forms = piece.forms if lam != 0 else piece.forms[:3] + ((0, 0),) * 3
+        if None in forms:
+            return None
+        alpha, beta = zip(*forms)
+        ibeta = [1j * b for b in beta]
+        a0 = _system(lam, alpha[:3], alpha[3:])
+        ar = _system(lam, beta[:3], beta[3:])
         ai = _system(lam, ibeta[:3], ibeta[3:])
         if _commute(a0, ar) and _commute(a0, ai) and _commute(ar, ai):
             return a0, ar, ai

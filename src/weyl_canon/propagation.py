@@ -1,17 +1,17 @@
 """Initial value problems for J u' + q u = lam w u with atoms.
 
 Between atoms the system is a smooth 2x2 linear ODE, u' = J(q - lam w)u,
-carried over each piece of ``Problem.pieces`` by one of three steppers,
-each chosen from the expression AST alone:
+carried over each piece of ``Problem.pieces`` in one of two ways,
+chosen from the expression AST alone:
 
-* constant: where both densities are constant on the piece, the
-  solution is exp((x - lo) A) u(lo) in 2x2 closed form;
-* commuting: where every entry is alpha + beta E(x) for one shared AST
-  node E, A(x) = A0 + Re E(x) AR + Im E(x) AI, and where A0, AR and AI
-  commute pairwise (2x2 matrices commute exactly when their traceless
-  parts are parallel, tested to 16 eps |X| |Y|), the solution is
-  exp((x - lo) A0 + Re I AR + Im I AI) u(lo) with I the integral of E
-  over (lo, x), one closed-form exponential and one scalar quadrature;
+* closed form: where every entry that enters A is alpha + beta E(x) for
+  the piece's shared AST node E, A(x) = A0 + Re E(x) AR + Im E(x) AI,
+  and where A0, AR and AI commute pairwise (2x2 matrices commute exactly
+  when their traceless parts are parallel, tested to 16 eps |X| |Y|),
+  the solution is exp((x - lo) A0 + Re I AR + Im I AI) u(lo) with I the
+  integral of E over (lo, x), one 2x2 exponential and one scalar
+  quadrature.  A constant piece is the case beta = 0: AR = AI = 0, and
+  the solution is exp((x - lo) A0) u(lo) with no quadrature;
 * Magnus: elsewhere, adaptive commutator-free Magnus steps of order 4,
   each the product of two closed-form exponentials of averages of A at
   two Gauss-Legendre nodes, with the error held to the tolerances below
@@ -31,8 +31,8 @@ two points in either direction: a per-piece stepper over each of the
 ``Problem.spans`` between them, the transfer B+^{-1} B- (forward) or
 B-^{-1} B+ (backward) at each atom strictly inside.  ``fundamental_matrix``,
 ``eta_solution`` and ``evolve_ac`` run it with ``_solve_segment``, which
-picks one of the three steppers for each piece, and the fixed-step
-oracle with its own.
+picks one of the two for each piece, and the fixed-step oracle with its
+own stepper.
 
 Everything here is a pure function of immutable inputs: propagations at
 distinct (lam, c) may run concurrently without coordination, while a
@@ -58,7 +58,8 @@ from .errors import (
     SingularForwardJumpError,
     WeylCanonError,
 )
-from .measures import Problem, _density_matrix
+# E_QUAD_LIMIT is defined in measures and stays importable from here
+from .measures import E_QUAD_LIMIT, Problem, _density_matrix  # noqa: F401
 from .quadrature import integrate
 
 __all__ = [
@@ -312,11 +313,6 @@ _B2 = 0.25 + math.sqrt(3.0) / 6.0
 # it needs falls below this fraction of the segment length.
 MIN_STEP = 1e-12
 
-# Interval limit of each quadrature of E on a commuting piece: 2 + sin(1000 x)
-# takes ~8200 intervals over (0, 30).  An integral of E that is not resolved
-# within it raises IntegrationFailureError, as Magnus steps at their floor do.
-E_QUAD_LIMIT = 10_000
-
 
 def _cf4_step(entries, x, h, columns):
     """One Magnus step of size h (either sign) from x for each column
@@ -400,17 +396,15 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
     """Propagate the flat complex state (the two components of each
     column in turn) from x0 to x1, in either direction, inside ``piece``;
     t_eval runs from x0 through points strictly inside to x1.  Returns
-    (states at t_eval, dense callable x -> state) from one of three
-    steppers, tried in this order:
+    (states at t_eval, dense callable x -> state), in one of two ways as
+    ``Problem.commuting_system`` decides:
 
-    * exact, exp((x - x0) A), where the piece's entries make A constant
-      (``Problem.constant_system``);
     * exact, exp((x - x0) A0 + Re I AR + Im I AI) with I the integral
-      of E over (x0, x), where every entry is affine in one shared AST
-      node E and A0, AR, AI commute pairwise, so that exp(int A) is the
-      flow (``Problem.commuting_system``).  I is the ``math.fsum`` of one
-      quadrature of E per interval of t_eval, and a dense value adds one
-      quadrature from the nearest point of t_eval;
+      of E over (x0, x), where A0, AR, AI commute pairwise, so that
+      exp(int A) is the flow.  I is the ``math.fsum`` of one
+      ``Piece.integral`` per interval of t_eval, and a dense value adds
+      one from the nearest point of t_eval; where AR = AI = 0 (a
+      constant piece) the flow is exp((x - x0) A0), with no quadrature;
     * adaptive Magnus steps elsewhere, where a dense value is one step
       from the nearest accepted node.
     """
@@ -422,17 +416,11 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
         return np.array([c for u, v in columns
                          for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
 
-    a = problem.constant_system(lam, piece)
-    parts = None if a is not None else problem.commuting_system(lam, piece)
-    if a is not None:
+    parts = problem.commuting_system(lam, piece)
+    if parts is not None and not any(parts[1] + parts[2]):
         def dense(x):
-            return apply(_constant_flow(a, float(x) - x0))
+            return apply(_constant_flow(parts[0], float(x) - x0))
     elif parts is not None:
-        e = piece.affine.f
-
-        def integral(lo, hi):
-            return integrate(e, lo, hi, ATOL, RTOL / 10, E_QUAD_LIMIT)[0]
-
         def flow(x, i):
             omega = [(x - x0) * p + i.real * r + i.imag * s
                      for p, r, s in zip(*parts)]
@@ -443,7 +431,7 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
                     f"the solution overflows between x={x0} and x={x}",
                     location=x) from None
 
-        steps = [integral(lo, hi) for lo, hi in zip(t_eval, t_eval[1:])]
+        steps = [piece.integral(lo, hi) for lo, hi in zip(t_eval, t_eval[1:])]
         xs = list(t_eval)
         nodes = [complex(math.fsum(v.real for v in steps[:k]),
                          math.fsum(v.imag for v in steps[:k]))
@@ -454,7 +442,7 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
         def dense(x):
             x = float(x)
             k = _nearest(xs, x)
-            return flow(x, nodes[k] + integral(xs[k], x))   # 0 at a node
+            return flow(x, nodes[k] + piece.integral(xs[k], x))   # 0 at a node
     else:
         entries = problem.system_matrix(lam)
         xs, states = _magnus_solve(entries, x0, x1, columns, t_eval[1:-1])
@@ -619,15 +607,15 @@ class FundamentalMatrix:
         if k is not None:
             return self.values[k].copy()
         seg = self._segment_for(x) if self._segments else None
-        if seg is not None and seg.dense is not None:
-            return seg.dense(x).reshape(2, 2, order="F")
-        k = np.searchsorted(self.xs, x)
-        for j in (k - 1, k, k + 1):
-            if 0 <= j < self.xs.size and abs(self.xs[j] - x) <= 1e-12 * max(1.0, abs(x)):
-                return self.values[j].copy()
-        raise ValueError(
-            f"no dense interpolant covers x={x}; only stored samples are "
-            "available for this solution")
+        if seg is None or seg.dense is None:
+            raise ValueError(
+                f"no dense interpolant covers x={x}; only stored samples are "
+                "available for this solution")
+        u = seg.dense(x).reshape(2, 2, order="F")
+        if not np.isfinite(u).all():
+            raise IntegrationFailureError(
+                f"the solution is not finite at x={x}", location=x)
+        return u
 
     def at(self, x) -> np.ndarray:
         """Balanced value of U at x in [0, c]."""
@@ -751,11 +739,9 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
 
     At lambda = 0, A = Jq vanishes on a piece where q = 0, so U(.,0) is
     the constant u there and the span contributes u* (int w) u, with
-    int w the piece's constant w times the length where w is constant,
-    alpha times the length plus beta int E from one scalar quadrature
-    where the entries share an affine node E (``Piece.affine``; the
-    density matrix is real-linear in its entries), and one matrix
-    quadrature of the density elsewhere.  On every other span
+    int w from the forms of w (``Piece.integrals``; the density matrix
+    is real-linear in its entries) where they exist, and from one
+    matrix quadrature of the density elsewhere.  On every other span
     U(.,0)* w U(.,0) is integrated by one matrix quadrature.
     """
     c_max = float(c_max)
@@ -773,15 +759,9 @@ def kernel_gram(problem: Problem, c_max) -> KernelGram:
         if piece.values[:3] != (0, 0, 0):
             return None
         u = fm.at(0.5 * (lo + hi))
-        w, form = piece.values[3:], piece.affine
-        if None not in w:
-            w = _density_matrix(*w) * (hi - lo)
-        elif form is not None:
-            e = integrate(form.f, lo, hi, 1e-13, 1e-11, 200)[0]
-            w = _density_matrix(*(a * (hi - lo) + b * e for a, b
-                                  in zip(form.alpha[3:], form.beta[3:])))
-        else:
-            w = integrate(problem.w.density, lo, hi, 1e-13, 1e-11, 200)[0]
+        w = piece.integrals(lo, hi, (3, 4, 5))
+        w = (integrate(problem.w.density, lo, hi, 1e-13, 1e-11, 200)[0]
+             if w is None else _density_matrix(*w))
         return u.conj().T @ w @ u
 
     G = problem.integrate(integrand, 0.0, c_max, epsabs=1e-13, epsrel=1e-11,

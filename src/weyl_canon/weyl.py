@@ -94,9 +94,9 @@ class TauSample:
 
 def _imag12_integrals(problem: Problem, x_from, x_to):
     """(int Im q12_ac, int Im w12_ac) over (x_from, x_to), piece by
-    piece, as the real and imaginary part of one integral: exactly,
-    (Im q12, Im w12) times the length, on a piece where ``Piece.values``
-    holds both entries, and by quadrature of both at once elsewhere."""
+    piece, as the real and imaginary part of one integral: from the
+    forms of q12 and w12 (``Piece.integrals``) on a piece where both
+    have one, and by quadrature of both at once elsewhere."""
     q_entries = problem.q.density_entries
     w_entries = problem.w.density_entries
 
@@ -104,10 +104,8 @@ def _imag12_integrals(problem: Problem, x_from, x_to):
         return complex(q_entries(t)[1].imag, w_entries(t)[1].imag)
 
     def exact(piece, lo, hi):
-        q12, w12 = piece.values[1], piece.values[4]
-        if q12 is None or w12 is None:
-            return None
-        return complex(q12.imag, w12.imag) * (hi - lo)
+        pair = piece.integrals(lo, hi, (1, 4))
+        return None if pair is None else complex(pair[0].imag, pair[1].imag)
 
     total = problem.integrate(integrand, x_from, x_to,
                               epsabs=1e-13, epsrel=1e-12, limit=200,

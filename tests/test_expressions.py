@@ -169,12 +169,18 @@ def test_shared_affine_peels_the_first_x_dependent_entry():
 
 
 def test_shared_affine_matches_structure_not_values():
-    assert shared_affine([parse_expr("1"), parse_expr("2")]) is None
-    for pair in (("1+1/(x^2+1)", "1+1/(1+x^2)"),   # equal values, other AST
-                 ("1+x", "1+x^2"),
-                 ("sin(x)", "sin(x)*sin(x)"),
-                 ("1/(x+1)", "(x+1)/(x+1)")):
-        assert shared_affine([parse_expr(t) for t in pair]) is None, pair
+    # no entry depends on x: no node, and each constant is alpha, beta = 0
+    assert shared_affine([parse_expr("1"), parse_expr("2")]) == \
+        (None, ((1, 0), (2, 0)))
+    # the second entry does not match the node of the first: no form
+    for first, second, node, form in (
+            ("1+1/(x^2+1)", "1+1/(1+x^2)", "1/(x^2+1)", (1, 1)),  # equal values
+            ("1+x", "1+x^2", "x", (1, 1)),
+            ("sin(x)", "sin(x)*sin(x)", "sin(x)", (0, 1)),
+            ("1/(x+1)", "(x+1)/(x+1)", "1/(x+1)", (0, 1)),
+            ("x", "log(-1)", "x", (0, 1))):       # a constant that fails
+        assert shared_affine([parse_expr(first), parse_expr(second)]) == \
+            (parse_expr(node), (form, None)), second
 
 
 def test_fold_steps_constant_between_roots():

@@ -331,9 +331,9 @@ def test_commuting_system_from_the_shared_affine_node():
     p = Problem(math.inf, 0.0, CoefficientMeasure(),
                 CoefficientMeasure("1+1/(x^2+1)", "-i", "1+1/(x^2+1)"))
     piece, = p.pieces
-    assert piece.affine.node == parse_expr("1/(x^2+1)")
-    assert piece.affine.alpha == (0, 0, 0, 1, -1j, 1)
-    assert piece.affine.beta == (0, 0, 0, 1, 0, 1)
+    assert piece.node == parse_expr("1/(x^2+1)")
+    assert piece.forms == ((0, 0), (0, 0), (0, 0), (1, 1), (-1j, 0), (1, 1))
+    assert piece.values == (0, 0, 0, None, -1j, None)
     lam = 0.5 - 1j
     a0, ar, ai = p.commuting_system(lam, piece)
     assert a0 == (1j * lam, lam, -lam, 1j * lam)
@@ -350,21 +350,29 @@ def test_commuting_system_refuses_what_does_not_commute():
     p = Problem(2.0, 0.0, CoefficientMeasure(d11="1000+x", d22="-1000-x"),
                 CoefficientMeasure(d11="1", d22="1"))
     piece, = p.pieces
-    assert piece.affine.node == parse_expr("x")
+    assert piece.node == parse_expr("x")
+    assert piece.forms == ((1000, 1), (0, 0), (-1000, -1), (1, 0), (0, 0), (1, 0))
     assert p.commuting_system(1j, piece) is None
     assert p.commuting_system(0.0, piece) is not None
     # x^(-1/2) in q12 against the constant w: J q is x^(-1/2) diag(-1, 1)
     p = Problem(4.0, 0.0, CoefficientMeasure(d12="x^(-1/2)"),
                 CoefficientMeasure(d11="1", d22="1"))
     assert p.commuting_system(1j, p.pieces[0]) is None
-    # equal values from different ASTs, and two different nodes: no form
-    for w in (CoefficientMeasure("1+1/(x^2+1)", "-i", "1+1/(1+x^2)"),
-              CoefficientMeasure("1+x", "0", "1+x^2")):
-        piece, = Problem(math.inf, 0.0, CoefficientMeasure(), w).pieces
-        assert piece.affine is None
-    # constant pieces are never analysed
-    assert all(piece.affine is None for piece in
-               parse_problem(json.dumps(MINIMAL)).pieces)
+    # equal values from different ASTs, and two different nodes: the
+    # entry that does not match has no form, and w then enters A at lam != 0
+    for w, node in ((CoefficientMeasure("1+1/(x^2+1)", "-i", "1+1/(1+x^2)"),
+                     "1/(x^2+1)"),
+                    (CoefficientMeasure("1+x", "0", "1+x^2"), "x")):
+        p = Problem(math.inf, 0.0, CoefficientMeasure(), w)
+        piece, = p.pieces
+        assert piece.node == parse_expr(node)
+        assert piece.forms[3] == (1, 1) and piece.forms[5] is None
+        assert p.commuting_system(1j, piece) is None
+        assert p.commuting_system(0.0, piece) == ((0, 0, 0, 0),) * 3
+    # constant pieces have no node, and every form has beta = 0
+    for piece in parse_problem(json.dumps(MINIMAL)).pieces:
+        assert piece.node is None and piece.f is None
+        assert piece.forms == tuple((v, 0) for v in piece.values)
 
 
 def test_w_mass_closed_form_at_undeclared_step():

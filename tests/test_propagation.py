@@ -7,7 +7,7 @@ import pytest
 import weyl_canon.oracle as oracle_module
 import weyl_canon.propagation as propagation_module
 from weyl_canon.catalog import builtin_example, catalog_names
-from weyl_canon.classify import trace_disks
+from weyl_canon.classify import deficiency_indices, trace_disks
 from weyl_canon.errors import (
     BadPointError,
     IntegrationFailureError,
@@ -467,6 +467,42 @@ def test_constant_pieces_never_call_the_ode_solver(rng, monkeypatch):
     assert len(solves) >= 1
 
 
+CATALOG_PROBLEMS = [("lesch_malamud", {"a": 1.0}), ("lesch_malamud", {"a": 0.0}),
+                    ("constant_w", {}), ("free_identity", {}),
+                    ("bad_point_minus", {}), ("bad_point_plus", {})]
+CLI_LAMBDAS = [1j, 0.5 + 0.5j, -0.25 - 1j, 1 - 0.75j]
+
+
+@pytest.mark.parametrize("name, params", CATALOG_PROBLEMS,
+                         ids=[f"{n}{p}" for n, p in CATALOG_PROBLEMS])
+def test_catalog_problems_propagate_in_closed_form(name, params, monkeypatch):
+    # every catalog piece is constant or commuting at each lam outside
+    # Lambda, on both half planes, and at lam = 0 for the Gram matrix
+    solves = count_calls(monkeypatch, propagation_module, "_magnus_solve")
+    p, _ = builtin_example(name, **params)
+    kernel_gram(p, 30.0 if math.isinf(p.b) else 0.9 * p.b)
+    for lam in LESCH_MALAMUD_LAMBDAS + CLI_LAMBDAS:
+        if not any(bad_points(p, z).in_lambda_set for z in (lam, lam.conjugate())):
+            deficiency_indices(p, lam)
+    assert solves == []
+
+
+def test_lam_zero_reads_the_forms_of_q_alone(monkeypatch):
+    # w = (1 + x^2) I has no form in the node x of q = (1 + x) diag(1, -1),
+    # but at lam = 0 w does not enter A = (1 + x) [[0, 1], [1, 0]]:
+    # U = exp(S K) with S = x + x^2/2 and K = [[0, 1], [1, 0]]
+    solves = count_calls(monkeypatch, propagation_module, "_magnus_solve")
+    p = Problem(4.0, 0.0, CoefficientMeasure(d11="1+x", d22="-1-x"),
+                CoefficientMeasure(d11="1+x^2", d22="1+x^2"))
+    grid = [0.3, 1.0, 2.0]
+    fm = fundamental_matrix(p, 0.0, 2.5, grid=grid)
+    for x in grid + [2.5, 0.05, 1.7]:
+        s = x + x * x / 2
+        want = [[math.cosh(s), math.sinh(s)], [math.sinh(s), math.cosh(s)]]
+        assert rel_err(fm.at(x), want) <= 1e-14, x
+    assert solves == []
+
+
 def test_oracle_marches_on_constant_pieces(monkeypatch):
     marches = count_calls(monkeypatch, oracle_module, "_march")
     p, _ = builtin_example("free_identity")
@@ -476,6 +512,26 @@ def test_oracle_marches_on_constant_pieces(monkeypatch):
 
 
 # -- fundamental matrices ---------------------------------------------------
+
+def test_dense_values_are_checked_to_be_finite():
+    p = Problem(2.0, 0.0, CoefficientMeasure(), CoefficientMeasure(d11="1", d22="1"))
+    segment = propagation_module._Segment(
+        0.0, 1.0, lambda x: np.full(4, np.inf, dtype=complex))
+    fm = FundamentalMatrix(p, 1j, 1.0, [0.0, 1.0], [np.eye(2)] * 2, [], [segment])
+    assert np.array_equal(fm.at(1.0), np.eye(2))    # a stored sample
+    with pytest.raises(IntegrationFailureError, match="not finite") as info:
+        fm.at(0.5)
+    assert info.value.location == 0.5
+
+
+def test_matrix_without_segments_evaluates_at_its_samples_only():
+    p = Problem(2.0, 0.0, CoefficientMeasure(), CoefficientMeasure(d11="1", d22="1"))
+    fm = FundamentalMatrix(p, 1j, 1.0, [0.0, 1.0], [np.eye(2)] * 2, [], [])
+    assert np.array_equal(fm.at(1.0), np.eye(2))
+    for x in (0.5, 1.0 - 1e-13):
+        with pytest.raises(ValueError, match="no dense interpolant"):
+            fm.at(x)
+
 
 def test_initial_rotation_exact():
     for alpha in (0.0, 0.3, 1.2, 3.0):

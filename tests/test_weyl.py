@@ -43,12 +43,26 @@ from conftest import (
 
 def test_tau_raises_when_its_quadrature_does_not_converge():
     # Im q12 = sin(x^3) has ~8600 sign changes on (0, 30): far more than the
-    # 200 intervals tau's quadrature may use
-    p = Problem(40.0, 0.0, CoefficientMeasure(d12="i*sin(x^3)"),
+    # 200 intervals tau's quadrature may use.  q11 = x makes the piece's
+    # node x, so q12 has no form and takes that quadrature
+    p = Problem(40.0, 0.0, CoefficientMeasure(d11="x", d12="i*sin(x^3)"),
                 CoefficientMeasure(d11="1", d22="1"))
+    assert p.pieces[0].forms[1] is None
     assert abs(tau(p, 1j, 1.0).value) == pytest.approx(1.0)
     with pytest.raises(IntegrationFailureError, match="200 intervals"):
         tau(p, 1j, 30.0)
+
+
+def test_tau_profile_reads_the_forms_of_q12_and_w12(monkeypatch):
+    # q12 = i/(1+x^2) is its own node E, w12 = 0: int Im q12 = atan c
+    # from one quadrature of E per gap, none of tau's generic integrand
+    p = Problem(math.inf, 0.0, CoefficientMeasure(d12="i/(1+x^2)"),
+                CoefficientMeasure(d11="1", d22="1"))
+    entries = count_calls(monkeypatch, CoefficientMeasure, "density_entries")
+    grid = default_c_grid(p)
+    for c, sample in zip(grid, tau_profile(p, 1j, grid)):
+        assert abs(sample.value - cmath.exp(2j * math.atan(c))) <= 1e-13, c
+    assert entries == []
 
 
 def test_tau_profile_is_exact_where_w12_is_constant():
