@@ -58,8 +58,7 @@ from .errors import (
     SingularForwardJumpError,
     WeylCanonError,
 )
-# E_QUAD_LIMIT is defined in measures and stays importable from here
-from .measures import E_QUAD_LIMIT, Problem, _density_matrix  # noqa: F401
+from .measures import Problem, _density_matrix
 from .quadrature import integrate
 
 __all__ = [
@@ -602,6 +601,8 @@ class FundamentalMatrix:
         return self._segments[k]
 
     def _eval_dense(self, x):
+        if not (0.0 <= x <= self.c + 1e-12 * max(1.0, self.c)):
+            raise ValueError(f"x={x} outside the propagated range [0, {self.c}]")
         # a stored sample is the value the dense closure gives there
         k = self._sample_index.get(x)
         if k is not None:
@@ -619,8 +620,6 @@ class FundamentalMatrix:
 
     def at(self, x) -> np.ndarray:
         """Balanced value of U at x in [0, c]."""
-        if not (0.0 <= x <= self.c + 1e-12 * max(1.0, self.c)):
-            raise ValueError(f"x={x} outside the propagated range [0, {self.c}]")
         crossing = self._atom_index.get(x)
         if crossing is not None:
             return crossing.balanced.copy()
@@ -734,45 +733,48 @@ class KernelGram:
         return self.vectors[:, 0]
 
 
-def kernel_gram(problem: Problem, c_max) -> KernelGram:
-    """G(c_max) span by span, plus the balanced atom terms.
+def _gram(fm, c, coeff=None) -> np.ndarray:
+    """int_(0,c) V* w V plus V#* Delta_w V# at each atom crossed below c,
+    V = U(., fm.lam) coeff (U where coeff is None), span by span.  Where
+    ``Problem.commuting_system`` gives A = 0, V is constant on the span,
+    which adds v* (int w) v with U read once and int w from w's forms
+    (``Piece.integrals``; the density is real-linear in its entries) or
+    one matrix quadrature.  Every other span is one matrix quadrature."""
+    problem = fm.problem
+    density = problem.w.density
 
-    At lambda = 0, A = Jq vanishes on a piece where q = 0, so U(.,0) is
-    the constant u there and the span contributes u* (int w) u, with
-    int w from the forms of w (``Piece.integrals``; the density matrix
-    is real-linear in its entries) where they exist, and from one
-    matrix quadrature of the density elsewhere.  On every other span
-    U(.,0)* w U(.,0) is integrated by one matrix quadrature.
-    """
+    def form(u, w):
+        v = u if coeff is None else u @ coeff
+        return v.conj().T @ w @ v
+
+    def constant_v(piece, lo, hi):
+        parts = problem.commuting_system(fm.lam, piece)
+        if parts is None or any(parts[0] + parts[1] + parts[2]):
+            return None
+        w = piece.integrals(lo, hi, (3, 4, 5))
+        w = (integrate(density, lo, hi, 1e-13, 1e-11, 200)[0]
+             if w is None else _density_matrix(*w))
+        return form(fm.at(0.5 * (lo + hi)), w)
+
+    G = problem.integrate(lambda x: form(fm.at(x), density(x)), 0.0, c,
+                          epsabs=1e-13, epsrel=1e-11, limit=200,
+                          piece_integral=constant_v)
+    for crossing in fm.crossings:
+        if crossing.position < c and np.any(crossing.jump.dw):
+            G += form(crossing.balanced, crossing.jump.dw)
+    return G
+
+
+def kernel_gram(problem: Problem, c_max) -> KernelGram:
+    """G(c_max) of the lambda = 0 fundamental matrix by ``_gram``, made
+    exactly Hermitian, with its eigen-decomposition.  At lambda = 0,
+    A = Jq, so the spans where q = 0 read U(.,0) once each."""
     c_max = float(c_max)
     report = bad_points(problem, 0.0)
     if report.in_lambda_set:
         raise BadPointError(report, "lambda=0 admits a bad point; the "
                                     "kernel Gram matrix is not defined")
-    fm = fundamental_matrix(problem, 0.0, c_max)
-
-    def integrand(x):
-        u = fm.at(x)
-        return u.conj().T @ problem.w.density(x) @ u
-
-    def constant_u(piece, lo, hi):
-        if piece.values[:3] != (0, 0, 0):
-            return None
-        u = fm.at(0.5 * (lo + hi))
-        w = piece.integrals(lo, hi, (3, 4, 5))
-        w = (integrate(problem.w.density, lo, hi, 1e-13, 1e-11, 200)[0]
-             if w is None else _density_matrix(*w))
-        return u.conj().T @ w @ u
-
-    G = problem.integrate(integrand, 0.0, c_max, epsabs=1e-13, epsrel=1e-11,
-                          limit=200, piece_integral=constant_u)
-    G[1, 0] = np.conj(G[0, 1])
-
-    for crossing in fm.crossings:
-        if np.any(crossing.jump.dw):
-            ub = crossing.balanced
-            G += ub.conj().T @ crossing.jump.dw @ ub
-
+    G = _gram(fundamental_matrix(problem, 0.0, c_max), c_max)
     G = 0.5 * (G + G.conj().T)
     eigenvalues, vectors = np.linalg.eigh(G)
     return KernelGram(G, c_max, eigenvalues, vectors)

@@ -3,9 +3,9 @@
 One routine, ``integrate``, serves every integral of the package: the
 measure masses, the integrability probe near 0, the piece node E
 (``Piece.integral``), and, one piece at a time through
-``Problem.integrate``, the quadrature norm, and tau's imaginary parts
-and the kernel Gram matrix on the pieces where the piece's forms do
-not already give them.  Each interval gets the
+``Problem.integrate``, tau's imaginary parts and ``propagation._gram``
+(the kernel Gram matrix and the quadrature norm) on the pieces where
+their forms do not already give them.  Each interval gets the
 21-point Kronrod rule with its embedded 10-point Gauss rule, and the
 error estimate of QUADPACK's QK21 (Piessens, de Doncker-Kapenga,
 Ueberhuber, Kahaner, *QUADPACK*, Springer 1983): the Gauss-Kronrod

@@ -45,6 +45,7 @@ from .propagation import (
     AtomCrossing,
     FundamentalMatrix,
     SampledSolution,
+    _gram,
     atom_jumps,
     bad_points,
     eta_solution,
@@ -123,25 +124,25 @@ def _tau_factor(iq, iw, lam, x):
 
 
 def tau(problem: Problem, lam, x) -> TauSample:
-    """tau(x, lam); x must satisfy 0 <= x < b.
+    """tau(x, lam) for x in [0, b); ``tau_profile`` at the one point x.
 
     B+ singular at an atom in (0, x) raises BadPointError.  A singular
     B- makes the product exactly zero (lam then lies in Lambda and the
     Weyl layers will refuse the result; the value itself is still the
     determinant of the collapsed fundamental matrix).
     """
-    x = float(x)
-    if not (0.0 <= x < problem.b):
-        raise ValueError(f"x={x} outside [0, {problem.b})")
     return tau_profile(problem, lam, [x])[0]
 
 
 def tau_profile(problem: Problem, lam, xs):
-    """tau at several increasing x, integrating each gap only once."""
+    """tau at several increasing x in [0, b), integrating each gap only
+    once."""
     lam = complex(lam)
     xs = [float(x) for x in xs]
     if xs != sorted(xs):
         raise ValueError("xs must be sorted increasingly")
+    if xs and not (0.0 <= xs[0] and xs[-1] < problem.b):
+        raise ValueError(f"xs={xs} outside [0, {problem.b})")
     samples = []
     iq = iw = 0.0
     prev = 0.0
@@ -203,26 +204,11 @@ def norm_lagrange(u0, uc, lam, c=None) -> NormValue:
 
 
 def norm_quadrature(problem: Problem, sol: SampledSolution, c) -> NormValue:
-    """||u||_c^2 by quadrature of u* w u over (0, c): the AC density part
-    integrated piecewise plus u#* Delta_w u# at each atom."""
+    """||u||_c^2 from U and w alone, never the Lagrange bracket: the
+    kernel Gram's w-weighted form (``propagation._gram``) of u on (0, c)."""
     c = float(c)
-
-    def integrand(x):
-        u = sol.at(x)
-        m11, m12, m22 = problem.w.density_entries(x)
-        a, b = u[0], u[1]
-        v = (m11 * (a.real * a.real + a.imag * a.imag)
-             + m22 * (b.real * b.real + b.imag * b.imag)
-             + 2.0 * (m12 * a.conjugate() * b).real)
-        return v
-
-    total = problem.integrate(integrand, 0.0, c,
-                              epsabs=1e-13, epsrel=1e-10, limit=200)
-    for cr in sol.fm.crossings:
-        if cr.position < c and np.any(cr.jump.dw):
-            balanced = cr.balanced @ sol.coeff
-            total += float(np.real(np.vdot(balanced, cr.jump.dw @ balanced)))
-    return NormValue(c, total, "quadrature")
+    g = _gram(sol.fm, c, sol.coeff[:, None]) if c > 0 else np.zeros((1, 1))
+    return NormValue(c, float(g[0, 0].real), "quadrature")
 
 
 def solution_norm_sq(fm: FundamentalMatrix, c, column, method="lagrange") -> float:

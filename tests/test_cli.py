@@ -234,8 +234,7 @@ def test_out_writes_file(runner, tmp_path):
     assert header.startswith("lambda_re,lambda_im,c,center_re")
 
 
-def test_threads_env_respected(runner, monkeypatch):
-    monkeypatch.setenv("WEYL_CANON_THREADS", "2")
+def test_tau_rows_follow_the_lambda_order(runner):
     result = invoke(runner, ["tau", "--example", "free_identity",
                              "--lambda", "i", "--lambda", "-i",
                              "--count", "6", "--cmax", "3"])

@@ -678,6 +678,19 @@ def test_evolve_rejects_a_range_outside_the_interval():
             evolve_ac(problem, 1j, x0, x1, np.array([1.0, 0.0]))
 
 
+def test_one_sided_values_refuse_points_outside_the_propagated_range():
+    # left_at and right_at share at's range check: past c, left_at used
+    # to extrapolate the last piece across the atom at 2.5
+    p = Problem(4.0, 0.0,
+                CoefficientMeasure(d11="1", atoms=[(2.5, [[1, 0], [0, 0]])]),
+                CoefficientMeasure(d11="1", d22="1"))
+    fm = fundamental_matrix(p, 1j, 2.0)
+    for x in (3.0, -1.0):
+        for read in (fm.at, fm.left_at, fm.right_at):
+            with pytest.raises(ValueError, match="outside"):
+                read(x)
+
+
 def test_eta_defined_for_bad_point_plus():
     p, _ = builtin_example("bad_point_plus")
     eta0 = eta_solution(p, 2j, 2.0, 0.7)   # B- invertible there

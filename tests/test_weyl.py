@@ -14,7 +14,7 @@ from weyl_canon.errors import (
     NonRealResultError,
 )
 from weyl_canon.measures import CoefficientMeasure, Problem
-from weyl_canon.propagation import fundamental_matrix
+from weyl_canon.propagation import FundamentalMatrix, fundamental_matrix, kernel_gram
 from weyl_canon.weyl import (
     M_INFINITY,
     WeylDisk,
@@ -140,6 +140,17 @@ def test_tau_profile_matches_pointwise(rng):
         assert rel_err(s.value, tau(p, lam, x).value) < 1e-11
 
 
+def test_tau_profile_refuses_points_outside_the_interval():
+    # tau_profile used to return tau(4) as tau(6), and 1 at x = -1
+    p = Problem(4.0, 0.0, CoefficientMeasure(d12="0.3*i"),
+                CoefficientMeasure(d11="1", d12="0.2*i", d22="1"))
+    for xs in ([1.0, 6.0], [-1.0, 1.0], [4.0]):
+        with pytest.raises(ValueError, match="outside"):
+            tau_profile(p, 1j, xs)
+    with pytest.raises(ValueError, match="outside"):
+        tau(p, 1j, 6.0)
+
+
 # -- norms --------------------------------------------------------------------
 
 def test_norm_quadrature_zero_weight_interval():
@@ -165,6 +176,24 @@ def test_norm_quadrature_atom_only():
     balanced = fm.crossings[0].balanced[:, 0]
     want = float(np.real(np.vdot(balanced, p.delta_w(1.0) @ balanced)))
     assert value == pytest.approx(want, rel=1e-12)
+
+
+def test_norm_quadrature_shares_the_kernel_gram_route(monkeypatch):
+    # q = 0 at lam = 0: U = I is constant, so each norm reads U once per
+    # span and takes int w from its forms, as kernel_gram does; the
+    # columns have norms int w11 = 3 and int w22 = 1 + 2 * 2 = 5
+    p = Problem(4.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1", d22="1+step(x-1)"))
+    c = 3.0
+    fm = fundamental_matrix(p, 0.0, c)
+    gram = kernel_gram(p, c).matrix
+    for column, want in ((0, 3.0), (1, 5.0)):
+        calls = count_calls(monkeypatch, FundamentalMatrix, "at")
+        got = norm_quadrature(p, fm.column(column), c).value
+        monkeypatch.undo()
+        assert len(calls) <= sum(piece.lo < c for piece in p.pieces)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert abs(got - gram[column, column].real) <= 1e-14
 
 
 def test_norm_lagrange_psi_route_and_agreement(rng):
