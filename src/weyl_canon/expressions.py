@@ -16,6 +16,9 @@ exactly: ``step_roots`` finds the jumps of steps with affine arguments,
 ``fold_steps`` reduces an expression to its form on one piece between
 them, and ``shared_affine`` writes each of several such forms as
 alpha + beta E with one shared AST node E where its structure allows it.
+One walker folds: ``fold_steps`` reads each step's line as it folds,
+while ``Problem`` reads an entry's lines once and folds a piece from the
+values its steps take there.
 
 ``parse_expr`` builds an AST, ``eval_expr`` evaluates it at a real x
 with full domain checking, and ``compile_expr`` turns it into a plain
@@ -399,12 +402,34 @@ def _step_line(node):
     return ab[0].real, ab[1].real
 
 
+def _step_lines(expr):
+    """({id(node): (a, b)}, affine): every step of the AST with x whose
+    argument is the real line a*x + b before folding, and whether every
+    step with x is one.  The one reading of an AST's steps."""
+    lines = {id(n): _step_line(n) for n in _walk(expr)
+             if isinstance(n, Call) and n.func == "step" and has_variable(n)}
+    return {k: ab for k, ab in lines.items() if ab}, None not in lines.values()
+
+
 def step_roots(expr: Expr) -> tuple:
     """Sorted roots -b/a of every ``step(a*x + b)`` in the AST whose
     argument is real and affine with a != 0: the only places where such
     a step jumps."""
-    lines = filter(None, map(_step_line, _walk(expr)))
-    return tuple(sorted({-b / a for a, b in lines if a != 0.0}))
+    return tuple(sorted({-b / a for a, b in _step_lines(expr)[0].values() if a != 0.0}))
+
+
+def _step_value(a, b, lo, hi):
+    """The value of ``step(a*x + b)`` on the open interval (lo, hi): 0 or
+    1 where a*x + b keeps one sign there, 1/2 where it is 0, and None
+    where its root lies inside."""
+    if a == 0.0:
+        return _step(b)
+    root = -b / a
+    if lo < root < hi:
+        return None
+    # the sign of a*x + b on (lo, hi) is the sign of a when the root lies
+    # at or left of lo, and its opposite when it lies at or right of hi
+    return float((a > 0.0) == (root <= lo))
 
 
 def _defined_everywhere(node, real=False) -> bool:
@@ -428,6 +453,32 @@ def _is_zero(node) -> bool:
     return isinstance(node, Literal) and node.value == 0
 
 
+def _fold(expr, lo, hi, values=None):
+    """The one fold walker: ``fold_steps`` for values None; otherwise
+    each step takes the value that ``values`` maps its node's id to, and
+    is not read again, or stays where values has none."""
+    if isinstance(expr, Unary):
+        return Unary(expr.op, _fold(expr.operand, lo, hi, values))
+    if isinstance(expr, BinOp):
+        left = _fold(expr.left, lo, hi, values)
+        right = _fold(expr.right, lo, hi, values)
+        if expr.op == "*" and ((_is_zero(left) and _defined_everywhere(right))
+                               or (_is_zero(right) and _defined_everywhere(left))):
+            return Literal(0j)
+        return BinOp(expr.op, left, right)
+    if not isinstance(expr, Call):
+        return expr
+    node = Call(expr.func, _fold(expr.arg, lo, hi, values))
+    if node.func != "step":
+        return node
+    if values is not None:
+        value = values.get(id(expr))
+    else:
+        line = _step_line(node)
+        value = None if line is None or not has_variable(node) else _step_value(*line, lo, hi)
+    return node if value is None else Literal(complex(value))
+
+
 def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:
     """The AST restricted to the open interval (lo, hi): every
     ``step(a*x + b)`` with a real affine argument that keeps one sign on
@@ -436,30 +487,7 @@ def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:
     product with a literal 0 factor becomes 0 when the other factor is
     defined at every real x, so no domain error (``0*log(x-5)``) is
     folded away."""
-    if isinstance(expr, Unary):
-        return Unary(expr.op, fold_steps(expr.operand, lo, hi))
-    if isinstance(expr, BinOp):
-        left = fold_steps(expr.left, lo, hi)
-        right = fold_steps(expr.right, lo, hi)
-        if expr.op == "*" and ((_is_zero(left) and _defined_everywhere(right))
-                               or (_is_zero(right) and _defined_everywhere(left))):
-            return Literal(0j)
-        return BinOp(expr.op, left, right)
-    if not isinstance(expr, Call):
-        return expr
-    node = Call(expr.func, fold_steps(expr.arg, lo, hi))
-    line = _step_line(node)
-    if line is None or not has_variable(node):
-        return node
-    a, b = line
-    if a == 0.0:
-        return Literal(complex(_step(b)))
-    root = -b / a
-    if lo < root < hi:
-        return node
-    # the sign of a*x + b on (lo, hi) is the sign of a when the root lies
-    # at or left of lo, and its opposite when it lies at or right of hi
-    return Literal(complex(float((a > 0.0) == (root <= lo))))
+    return _fold(expr, lo, hi)
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,8 @@ entries d11 (real), d12 (complex; d21 is its conjugate) and d22 (real),
 plus finitely many point masses (atoms).  ``Problem`` bundles the
 interval (0, b), the boundary angle alpha and the two coefficients q
 (Hermitian) and w (non-negative, not identically zero), and validates
-all of that eagerly.  Instances are immutable after construction and
-safe to share between threads.
+all of that eagerly.  Instances are immutable after construction, apart
+from memos filled on first use, and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ from .expressions import (
     Expr,
     Literal,
     Unary,
+    _fold,
+    _step_lines,
+    _step_value,
     compile_expr,
     compile_tuple,
     eval_expr,
-    fold_steps,
     has_variable,
     parse_expr,
     shared_affine,
-    step_roots,
     to_source,
 )
 from .quadrature import integrate
@@ -103,8 +104,8 @@ def psd_violation(m, tol_scale=1e-12):
 
 @dataclass(frozen=True)
 class Atom:
-    """Point mass of a matrix measure: position in (0, b) and an exactly
-    Hermitian 2x2 matrix."""
+    """Point mass of a matrix measure: finite position in (0, b) and an
+    exactly Hermitian 2x2 matrix of finite entries."""
 
     position: float
     matrix: np.ndarray
@@ -112,6 +113,8 @@ class Atom:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         problem = _hermitian_or_none(m)
+        if problem is None and not (math.isfinite(self.position) and np.isfinite(m).all()):
+            problem = "position and matrix entries must be finite"
         if problem is not None:
             raise ValidationError(f"atom at x={self.position}: {problem}")
         m = m.copy()
@@ -129,10 +132,13 @@ class CoefficientMeasure:
     further x-values where the density entries may jump; the roots of
     ``step`` arguments that are affine in x need not be listed, since
     ``Problem`` finds them in the expressions.
+    The entries are compiled on first use (``_ftuple``), so a problem
+    constant on every piece compiles none; like the memo of ``mass``,
+    that write stores the same value from any thread.
     """
 
     __slots__ = ("d11", "d12", "d22", "atoms", "breakpoints",
-                 "_ftuple", "_mass_cache")
+                 "_compiled", "_mass_cache")
 
     def __init__(self, d11="0", d12="0", d22="0", atoms=(), breakpoints=()):
         self.d11 = _as_expr(d11)
@@ -155,10 +161,17 @@ class CoefficientMeasure:
         self.atoms = tuple(normalized)
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
 
-        self._ftuple = compile_tuple(self.d11, self.d12, self.d22)
+        self._compiled = None
         self._mass_cache = {}
 
     # -- evaluation --------------------------------------------------------
+
+    @property
+    def _ftuple(self):
+        """``lambda x: (d11, d12, d22)``, compiled on first use."""
+        if self._compiled is None:
+            self._compiled = compile_tuple(self.d11, self.d12, self.d22)
+        return self._compiled
 
     def density_entries(self, x):
         """(d11, d12, d22) at x; diagonal projected to the real axis."""
@@ -305,10 +318,11 @@ class Problem:
     ``discontinuities`` holds the points of (0, b) that are atom
     positions, declared breakpoints or roots of a ``step`` argument that
     is affine in x; ``pieces`` splits (0, b) there, each piece with the
-    form alpha + beta E of every entry (``Piece``).  Both tables are
-    independent of lambda and built once, also when validate is False;
-    an entry that is constant on a piece but undefined there is rejected
-    then too.  ``commuting_system`` reads a piece's forms into the
+    form alpha + beta E of every entry (``Piece``), formed once per
+    pattern of the values of the entries' steps, which are read once.
+    Both tables are independent of lambda and built once, also when
+    validate is False; an entry that is constant on a piece but
+    undefined there is rejected then too.  ``commuting_system`` reads a piece's forms into the
     system on it.  ``spans`` clips the pieces to a range for validation,
     every integral over x (``integrate``), the walker and the oracle.
     """
@@ -330,30 +344,39 @@ class Problem:
         self.atom_table = {x: (dq.get(x, _ZERO), dw.get(x, _ZERO))
                            for x in sorted(dq.keys() | dw.keys()) if 0.0 < x < self.b}
         self.atom_positions = tuple(self.atom_table)
+        walks = [_step_lines(e) for e in entries]
         points = set(self.atom_positions) | set(q.breakpoints) | set(w.breakpoints)
-        points.update(r for e in entries for r in step_roots(e))
+        points.update(-b / a for lines, _ in walks for a, b in lines.values() if a != 0.0)
         self.discontinuities = tuple(sorted(p for p in points if 0.0 < p < self.b))
-        self.pieces = self._build_pieces(entries)
+        self.pieces = self._build_pieces(entries, walks)
         if validate:
             self._validate(entries)
 
-    def _build_pieces(self, entries):
+    def _build_pieces(self, entries, walks):
+        """A piece keys each entry by the values of its steps (``walks``)
+        there, or by (lo, hi) where they are not all affine before
+        folding; pieces with equal keys share one fold, form and f."""
         cuts = list(self.discontinuities)
-        pieces = []
+        built, pieces = {}, []
         for lo, hi in zip([0.0] + cuts, cuts + [self.b]):
-            folded = [fold_steps(expr, lo, hi) for expr in entries]
-            node, forms = shared_affine(folded)
-            values = []
-            for label, expr, form in zip(_ENTRY_LABELS, folded, forms):
-                if form is None and not has_variable(expr):
-                    try:     # a constant without a form does not evaluate
-                        eval_expr(expr, lo)
-                    except ExpressionDomainError as exc:
-                        raise ValidationError(
-                            f"{label} on ({lo:.6g}, {hi:.6g}): {exc}") from None
-                values.append(None if form is None or form[1] else form[0])
-            f = None if node is None else compile_expr(node)
-            pieces.append(Piece(lo, hi, tuple(values), forms, node, f))
+            key = tuple(tuple(_step_value(a, b, lo, hi) for a, b in lines.values())
+                        if affine else (lo, hi) for lines, affine in walks)
+            if key not in built:
+                folded = [_fold(e, lo, hi, dict(zip(lines, k)) if affine else None)
+                          for e, (lines, affine), k in zip(entries, walks, key)]
+                node, forms = shared_affine(folded)
+                values = []
+                for label, expr, form in zip(_ENTRY_LABELS, folded, forms):
+                    if form is None and not has_variable(expr):
+                        try:     # a constant without a form does not evaluate
+                            eval_expr(expr, lo)
+                        except ExpressionDomainError as exc:
+                            raise ValidationError(
+                                f"{label} on ({lo:.6g}, {hi:.6g}): {exc}") from None
+                    values.append(None if form is None or form[1] else form[0])
+                f = None if node is None else compile_expr(node)
+                built[key] = (tuple(values), forms, node, f)
+            pieces.append(Piece(lo, hi, *built[key]))
         return tuple(pieces)
 
     def spans(self, lo, hi):
@@ -401,9 +424,10 @@ class Problem:
 
     def _validate(self, entries):
         """Atoms in (0, b) with PSD w atoms; then, on each piece, the
-        exact values of a constant piece or the sample-grid points of
-        any other: real diagonals and PSD w.  w must be nonzero at one
-        of these or at an atom, and every entry integrable near 0."""
+        exact values of a constant piece (once per distinct values) or the
+        sample-grid points of any other: real diagonals and PSD w.  w must
+        be nonzero at one of these or at an atom, and every entry
+        integrable near 0."""
         for name, measure in (("q", self.q), ("w", self.w)):
             for a in measure.atoms:
                 if not (0.0 < a.position < self.b):
@@ -426,8 +450,12 @@ class Problem:
 
         grid = self._sample_grid()
         nonzero = any(np.any(a.matrix) for a in self.w.atoms)
+        checked = set()     # the constant values tuples that passed
         for piece in self.pieces:
             if piece.constant:
+                if piece.values in checked:
+                    continue
+                checked.add(piece.values)
                 checks = [(f"on ({piece.lo:.6g}, {piece.hi:.6g})", piece.values)]
             else:
                 checks = map(sampled, grid[(piece.lo <= grid) & (grid < piece.hi)])
@@ -578,6 +606,13 @@ class Problem:
 # problem files
 # --------------------------------------------------------------------------
 
+def _number(value, where):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: expected a number") from None
+
+
 def _parse_matrix(pairs, where):
     if (not isinstance(pairs, list)) or len(pairs) != 4:
         raise SchemaError(f"{where}: expected 4 [re, im] pairs (row-major)")
@@ -585,10 +620,7 @@ def _parse_matrix(pairs, where):
     for k, pair in enumerate(pairs):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise SchemaError(f"{where}[{k}]: expected an [re, im] pair")
-        try:
-            values.append(complex(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError):
-            raise SchemaError(f"{where}[{k}]: entries must be numbers") from None
+        values.append(complex(*(_number(v, f"{where}[{k}]") for v in pair)))
     return np.array(values, dtype=complex).reshape(2, 2)
 
 
@@ -607,18 +639,22 @@ def _parse_measure(doc, where):
         if not isinstance(text, str):
             raise SchemaError(f"{where}.{key}: expected an expression string")
         entries[key] = text
+    atom_docs = doc.get("atoms", []) or []
+    if not isinstance(atom_docs, list):
+        raise SchemaError(f"{where}.atoms: expected a list of atoms")
     atoms = []
-    for k, atom_doc in enumerate(doc.get("atoms", []) or []):
+    for k, atom_doc in enumerate(atom_docs):
         if not isinstance(atom_doc, dict) or "x" not in atom_doc or "m" not in atom_doc:
             raise SchemaError(f"{where}.atoms[{k}]: expected {{'x': ..., 'm': ...}}")
         matrix = _parse_matrix(atom_doc["m"], f"{where}.atoms[{k}].m")
         try:
-            atoms.append(Atom(float(atom_doc["x"]), matrix))
+            atoms.append(Atom(_number(atom_doc["x"], f"{where}.atoms[{k}].x"), matrix))
         except ValidationError as exc:
             raise ValidationError(f"{where}.atoms[{k}]: {exc}") from None
     breakpoints = doc.get("breakpoints", []) or []
     if not isinstance(breakpoints, list):
         raise SchemaError(f"{where}.breakpoints: expected a list of numbers")
+    breakpoints = [_number(v, f"{where}.breakpoints[{k}]") for k, v in enumerate(breakpoints)]
     try:
         measure = CoefficientMeasure(entries["d11"], entries["d12"],
                                      entries["d22"], atoms, breakpoints)
@@ -653,19 +689,8 @@ def parse_problem(document) -> Problem:
     if "b" not in document or "alpha" not in document:
         raise SchemaError("keys 'b' and 'alpha' are required")
 
-    b_raw = document["b"]
-    if b_raw == "inf":
-        b = math.inf
-    else:
-        try:
-            b = float(b_raw)
-        except (TypeError, ValueError):
-            raise SchemaError("'b' must be a number or \"inf\"") from None
-    try:
-        alpha = float(document["alpha"])
-    except (TypeError, ValueError):
-        raise SchemaError("'alpha' must be a number") from None
-
+    b = math.inf if document["b"] == "inf" else _number(document["b"], "b (or \"inf\")")
+    alpha = _number(document["alpha"], "alpha")
     q = _parse_measure(document.get("q"), "q")
     w = _parse_measure(document.get("w"), "w")
     return Problem(b, alpha, q, w)

@@ -318,3 +318,18 @@ def test_importing_the_cli_does_not_import_scipy():
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("fields", [
+    {"atoms": 5},
+    {"breakpoints": [[1]]},
+    {"breakpoints": ["abc"]},
+    {"atoms": [{"x": "abc", "m": [[1, 0], [0, 0], [0, 0], [0, 0]]}]},
+], ids=["atoms-not-a-list", "breakpoint-list", "breakpoint-text", "atom-x-text"])
+def test_validate_malformed_atom_or_breakpoint_exit_2(runner, tmp_path, fields):
+    doc = {"b": 2, "alpha": 0, "q": fields, "w": {"d11": "1", "d22": "1"}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["validate", "--problem", str(path)])
+    assert result.exit_code == 2
+    assert "error: q." in result.output

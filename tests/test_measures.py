@@ -423,3 +423,28 @@ def test_atom_table_fills_the_missing_side_with_a_read_only_zero():
     for x in (0.5, 2.5):
         assert not np.any(p.delta_q(x)) and not np.any(p.delta_w(x))
         assert not p.delta_q(x).flags.writeable
+
+
+MALFORMED_FIELDS = {
+    "atoms not a list": {"atoms": 5},
+    "breakpoint not a number": {"breakpoints": [[1]]},
+    "breakpoint text": {"breakpoints": ["abc"]},
+    "atom position text": {"atoms": [{"x": "abc", "m": [[1, 0], [0, 0], [0, 0], [0, 0]]}]},
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_FIELDS.values(), ids=MALFORMED_FIELDS)
+def test_malformed_atom_and_breakpoint_fields_are_schema_errors(fields):
+    doc = {"b": 2, "alpha": 0, "q": fields, "w": {"d11": "1", "d22": "1"}}
+    with pytest.raises(SchemaError, match=r"q\.(atoms|breakpoints)"):
+        parse_problem(doc)
+
+
+@pytest.mark.parametrize("side, entry", [("q", [math.nan, 0]), ("w", [math.inf, 0])])
+def test_non_finite_atoms_are_refused(side, entry):
+    doc = {"b": 2, "alpha": 0, "q": {}, "w": {"d11": "1", "d22": "1"}}
+    doc[side] = dict(doc[side], atoms=[{"x": 1, "m": [entry, [0, 0], [0, 0], [1, 0]]}])
+    with pytest.raises(ValidationError, match=rf"{side}\.atoms\[0\].*finite"):
+        parse_problem(json.dumps(doc))
+    with pytest.raises(ValidationError, match="finite"):
+        CoefficientMeasure(atoms=[(math.nan, np.eye(2))])
