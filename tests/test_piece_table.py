@@ -47,7 +47,7 @@ def test_piece_table_of_steps_that_fold_per_piece(b, w12):
     q = CoefficientMeasure(
         d11="step(x^2-4)+x*step(x-1)",           # not affine before folding
         d12="step(step(x-1)-0.5)+2*step(3-x)",   # a nested step
-        d22="step(0*x)-step(x-5)*(1+0*x)",       # a flat step, a zero product
+        d22="step(0*x)-step(x-5)*(1+0*x)+cos(2*step(x-1))",   # flat, zero product
         breakpoints=[2.0])
     w = CoefficientMeasure(
         d11="1+step(x-2)*(0*log(x-5))+0*log(x-5)*step(4-x)",
