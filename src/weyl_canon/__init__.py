@@ -46,7 +46,6 @@ from .measures import (
     ScalarAtom,
     SLProblem,
     parse_problem,
-    serialize_problem,
     sl_to_canonical,
 )
 from .oracle import OracleConfig, closed_form_eval, compare_propagators, fixed_step_propagate

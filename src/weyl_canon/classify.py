@@ -89,13 +89,18 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
     precision on exponentially divergent examples).  Passing rho
     explicitly instead yields c_k = c0 rho^k capped at c_max.  Grid
     points colliding with an atom are nudged by 1e-9 of the local gap,
-    so every c is a continuity point.
+    so every c is a continuity point.  Raises ValueError unless
+    0 < c0 < b, rho (when given) is finite and above 1, and, for an
+    infinite b, c_max is finite and above c0.
     """
     count = 24 if count is None else int(count)
     if count < 1:
         raise ValueError(f"the c grid needs at least one point, got count={count}")
-    if c0 is None:
-        c0 = min(1.0, problem.b / 10.0)
+    c0 = min(1.0, problem.b / 10.0) if c0 is None else float(c0)
+    if not 0.0 < c0 < problem.b:
+        raise ValueError(f"c0={c0} must lie in (0, {problem.b})")
+    if rho is not None and not 1.0 < float(rho) < math.inf:
+        raise ValueError(f"rho={rho} must be finite and greater than 1")
     if math.isfinite(problem.b):
         rho = 1.5 if rho is None else float(rho)
         ks = np.arange(count)
@@ -105,6 +110,8 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
             grid = capped if capped.size else grid[:1]
     else:
         c_max = 30.0 if c_max is None else float(c_max)
+        if not c0 < c_max < math.inf:
+            raise ValueError(f"c_max={c_max} must be finite and greater than c0={c0}")
         if rho is None:
             grid = np.geomspace(c0, c_max, count)
         else:
@@ -122,14 +129,13 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
 
 
 def _truncation_grid(problem, c_grid):
-    """(grid, policy): the default grid when c_grid is None, else the
-    caller's grid nudged off atoms; either must be non-empty and strictly
-    increasing."""
+    """The default grid when c_grid is None, else the caller's grid nudged
+    off atoms; either must be non-empty, finite and strictly increasing."""
     grid = (default_c_grid(problem) if c_grid is None
             else perturb_off_atoms(c_grid, problem))
-    if grid.size < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("c grid must be non-empty and strictly increasing")
-    return grid, "default" if c_grid is None else "caller"
+    if grid.size < 1 or not np.isfinite(grid).all() or np.any(np.diff(grid) <= 0):
+        raise ValueError("c grid must be non-empty, finite and strictly increasing")
+    return grid
 
 
 def perturb_off_atoms(grid, problem: Problem) -> np.ndarray:
@@ -164,7 +170,6 @@ class TracePoint:
 class DiskTrace:
     lam: complex
     points: tuple
-    grid_policy: str = "default"
     #: grid point at which the disk's denominator C conj(D) - conj(C) D
     #: fell into the rounding noise of its products and the trace
     #: stopped; None when the whole grid was usable.
@@ -201,10 +206,10 @@ def trace_disks(problem: Problem, lam, c_grid=None) -> DiskTrace:
     conj(lam) when Im lam < 0: the entries there are
     tau(c, lam) conj(U(c, conj lam)), with tau from the trace's own
     profile."""
-    return _traces(problem, (complex(lam),), *_truncation_grid(problem, c_grid))[0]
+    return _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))[0]
 
 
-def _traces(problem, lams, c_grid, policy):
+def _traces(problem, lams, c_grid):
     """Disk traces over ``c_grid`` at each of ``lams``, all equal to
     lam_up or to its conjugate for one lam_up with Im lam_up > 0, from a
     single propagation at lam_up.  Checks every lam against Lambda first;
@@ -246,7 +251,7 @@ def _traces(problem, lams, c_grid, policy):
                 truncated_at = float(c)
                 break
             points.append(TracePoint(float(c), ws, n_psi, n_phi, ts.value))
-        traces.append(DiskTrace(lam, tuple(points), policy, truncated_at))
+        traces.append(DiskTrace(lam, tuple(points), truncated_at))
     return traces
 
 
@@ -440,9 +445,6 @@ def definiteness(problem: Problem, c_max=None) -> DefinitenessResult:
                               min_eig, tr, float(c_max))
 
 
-_definiteness = definiteness    # deficiency_indices' keyword shadows the name
-
-
 # --------------------------------------------------------------------------
 # deficiency indices
 # --------------------------------------------------------------------------
@@ -529,33 +531,24 @@ class ClassificationReport:
 
 
 def deficiency_indices(problem: Problem, lam, c_grid=None,
-                       config=DEFAULT_CONFIG, *,
-                       definiteness=None) -> ClassificationReport:
+                       config=DEFAULT_CONFIG) -> ClassificationReport:
     """Full classification at lam and conj(lam).
 
-    Combines the norm dichotomy with the definiteness dimension into
-    (n+, n-); limit verdicts and |tau| trends ride along as diagnostics
-    and as the cross-check that gates asymmetric indices.  The
-    definiteness verdict does not depend on lam: a ``DefinitenessResult``
-    passed as ``definiteness`` is used instead of forming the Gram matrix
-    again, and must have been taken at the grid's last point.
+    Combines the norm dichotomy with the definiteness dimension, from
+    the Gram matrix at the grid's last point, into (n+, n-); limit
+    verdicts and |tau| trends ride along as diagnostics and as the
+    cross-check that gates asymmetric indices.
     """
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ValueError("deficiency indices need Im lam != 0")
     lam_up = lam if lam.imag > 0 else lam.conjugate()
 
-    c_grid, policy = _truncation_grid(problem, c_grid)
-    defres = definiteness
-    if defres is None:
-        defres = _definiteness(problem, c_max=float(c_grid[-1]))
-    elif defres.c_max != float(c_grid[-1]):
-        raise ValueError(f"definiteness was taken at c_max={defres.c_max}, "
-                         f"not at the grid's last point {float(c_grid[-1])}")
+    c_grid = _truncation_grid(problem, c_grid)
+    defres = definiteness(problem, c_max=float(c_grid[-1]))
     d = defres.dim_null_space
 
-    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()),
-                                 c_grid, policy)
+    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()), c_grid)
     (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(
         problem, trace_up, config)
     (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 validation failure, 3 bad point (lambda in Lambda),
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -18,8 +19,7 @@ from pathlib import Path
 import click
 
 from .catalog import builtin_example, catalog_names, parse_example_spec
-from .classify import (ClassifyConfig, default_c_grid, deficiency_indices,
-                       definiteness, trace_disks)
+from .classify import ClassifyConfig, default_c_grid, deficiency_indices, trace_disks
 from .errors import (
     BadPointError,
     InconclusiveError,
@@ -40,18 +40,21 @@ EXIT_INCONCLUSIVE = 5
 
 def parse_lambda(text: str) -> complex:
     """Accept 'a,b' and 'a+bi' style forms ('i', '-i', '2i', '1-0.5i',
-    plain reals)."""
+    plain reals) with finite parts."""
     raw = text.strip()
     try:
         if "," in raw:
             re_part, im_part = raw.split(",", 1)
-            return complex(float(re_part), float(im_part))
-        s = raw.replace(" ", "").replace("I", "i").replace("i", "j")
-        s = re.sub(r"(?<![0-9.])j", "1j", s)
-        return complex(s)
+            lam = complex(float(re_part), float(im_part))
+        else:
+            s = raw.replace(" ", "").replace("I", "i").replace("i", "j")
+            lam = complex(re.sub(r"(?<![0-9.])j", "1j", s))
     except ValueError:
         raise click.BadParameter(
             f"cannot parse lambda {text!r}; use 'a+bi' or 'a,b'") from None
+    if not cmath.isfinite(lam):
+        raise click.BadParameter(f"lambda {text!r} is not finite")
+    return lam
 
 
 def _load_problem(problem_path, example):
@@ -218,7 +221,7 @@ def disks(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
                    "(default 0.9).")
 @click.option("--lc-rel-change", type=float, default=None,
               help="Limit-circle stabilization threshold (default 1e-4).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+@click.option("--format", "fmt", type=click.Choice(["json"]),
               default="json", help="Reports are JSON only.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--strict", is_flag=True,
@@ -227,8 +230,6 @@ def classify(problem, example, lambdas, c0, rho, count, cmax,
              lp_radius_drop, lp_ratio, lc_rel_change, fmt, out, strict):
     """Deficiency indices and endpoint classification (JSON report)."""
     def run():
-        if fmt == "csv":
-            _fail(EXIT_VALIDATION, "classification reports are JSON only")
         p = _load_problem(problem, example)
         grid = default_c_grid(p, c0=c0, rho=rho, count=count, c_max=cmax)
         overrides = {k: v for k, v in (("lp_radius_drop", lp_radius_drop),
@@ -237,13 +238,8 @@ def classify(problem, example, lambdas, c0, rho, count, cmax,
                      if v is not None}
         config = ClassifyConfig(**overrides) if overrides else None
         lams = [parse_lambda(s) for s in lambdas]
-        # one Gram matrix for every lam; a real lam is refused before any
-        # Gram matrix is formed, so it is shared only when none is real
-        shared = (definiteness(p, c_max=float(grid[-1]))
-                  if all(lam.imag != 0.0 for lam in lams) else None)
         reports = [deficiency_indices(
-            p, lam, c_grid=grid, definiteness=shared,
-            **({"config": config} if config else {}))
+            p, lam, c_grid=grid, **({"config": config} if config else {}))
             for lam in lams]
         docs = [r.to_dict() for r in reports]
         _emit(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2), out)
@@ -302,14 +298,12 @@ def tau(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
               help="Fixed oracle step (default 1e-4).")
 @click.option("--method", type=click.Choice(["rk4-fixed", "midpoint"]),
               default="rk4-fixed")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+@click.option("--format", "fmt", type=click.Choice(["json"]),
               default="json", help="Deviation reports are JSON only.")
 @click.option("--out", type=click.Path(), default=None)
 def oracle_compare(problem, example, lambdas, cmax, step, method, fmt, out):
     """Adaptive-versus-fixed-step deviation report (JSON)."""
     def run():
-        if fmt == "csv":
-            _fail(EXIT_VALIDATION, "oracle comparison reports are JSON only")
         p = _load_problem(problem, example)
         config = OracleConfig(step=step, method=method)
         lams = [parse_lambda(s) for s in lambdas]

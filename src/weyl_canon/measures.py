@@ -51,7 +51,6 @@ __all__ = [
     "SLProblem",
     "ScalarAtom",
     "parse_problem",
-    "serialize_problem",
     "sl_to_canonical",
 ]
 
@@ -129,9 +128,9 @@ class CoefficientMeasure:
     The density matrix is Hermitian by construction: only d11, d12, d22
     are stored, the 21 entry is derived as conj(d12), and the diagonal
     is projected to its real part on evaluation.  ``breakpoints`` lists
-    further x-values where the density entries may jump; the roots of
-    ``step`` arguments that are affine in x need not be listed, since
-    ``Problem`` finds them in the expressions.
+    further finite x-values where the density entries may jump; the
+    roots of ``step`` arguments that are affine in x need not be listed,
+    since ``Problem`` finds them in the expressions.
     The entries are compiled on first use (``_ftuple``), so a problem
     constant on every piece compiles none; like the memo of ``mass``,
     that write stores the same value from any thread.
@@ -160,6 +159,8 @@ class CoefficientMeasure:
                 )
         self.atoms = tuple(normalized)
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
+        if not all(map(math.isfinite, self.breakpoints)):
+            raise ValidationError(f"breakpoints must be finite, got {self.breakpoints}")
 
         self._compiled = None
         self._mass_cache = {}
@@ -546,21 +547,20 @@ class Problem:
         where the three commute pairwise, else None: then
         exp((x - lo) A0 + Re I AR + Im I AI), with I the integral of E
         over (lo, x), carries u from lo to x.  It reads the forms of q,
-        and of w unless lam = 0, where w does not enter A; where they are
-        all constant, AR = AI = 0 without a commutator test.  ``_system``
+        and of w unless lam = 0, where w does not enter A; where every
+        beta is 0, AR = AI = 0 without a commutator test.  ``_system``
         is real-linear in the six entries, so AR and AI are it at the
         coefficients beta and i beta.  Decided from the AST's constants
         alone, never from samples."""
         lam = complex(lam)
-        values = piece.values if lam != 0 else piece.values[:3] + (0, 0, 0)
-        if None not in values:
-            return _system(lam, values[:3], values[3:]), (0,) * 4, (0,) * 4
         forms = piece.forms if lam != 0 else piece.forms[:3] + ((0, 0),) * 3
         if None in forms:
             return None
         alpha, beta = zip(*forms)
-        ibeta = [1j * b for b in beta]
         a0 = _system(lam, alpha[:3], alpha[3:])
+        if not any(beta):
+            return a0, (0,) * 4, (0,) * 4
+        ibeta = [1j * b for b in beta]
         ar = _system(lam, beta[:3], beta[3:])
         ai = _system(lam, ibeta[:3], ibeta[3:])
         if _commute(a0, ar) and _commute(a0, ai) and _commute(ar, ai):
@@ -694,10 +694,6 @@ def parse_problem(document) -> Problem:
     q = _parse_measure(document.get("q"), "q")
     w = _parse_measure(document.get("w"), "w")
     return Problem(b, alpha, q, w)
-
-
-def serialize_problem(problem: Problem) -> dict:
-    return problem.serialize()
 
 
 # --------------------------------------------------------------------------

@@ -181,7 +181,10 @@ class BadPointReport:
 
     lam: complex
     records: tuple
-    in_lambda_set: bool
+
+    @property
+    def in_lambda_set(self) -> bool:
+        return bool(self.records)
 
     def __str__(self):
         if not self.records:
@@ -209,7 +212,7 @@ def bad_points(problem: Problem, lam) -> BadPointReport:
     points always give B-+ = J and never contribute."""
     records = tuple(jp for jp in atom_jumps(problem, lam).values()
                     if jp.minus_singular or jp.plus_singular)
-    return BadPointReport(complex(lam), records, bool(records))
+    return BadPointReport(complex(lam), records)
 
 
 def transfer_across_atom(u_minus, jump: JumpPair):
@@ -571,11 +574,12 @@ class FundamentalMatrix:
     one-sided and balanced values at every crossed atom are stored in
     ``crossings``.  Columns: phi = U[:, 0], psi = U[:, 1].  A matrix
     without segments (``weyl.conjugate_fundamental``) evaluates at its
-    samples and crossings only.
+    samples and crossings only.  ``in_lambda_set`` is True when some atom
+    has a singular B- or B+ at lam.
     """
 
     def __init__(self, problem, lam, c, xs, values, crossings, segments,
-                 lambda_report=None):
+                 in_lambda_set=False):
         self.problem = problem
         self.lam = complex(lam)
         self.alpha = problem.alpha
@@ -587,11 +591,7 @@ class FundamentalMatrix:
         self._segment_los = [s.lo for s in segments]
         self._atom_index = {cr.position: cr for cr in self.crossings}
         self._sample_index = {x: k for k, x in enumerate(self.xs)}
-        self.lambda_report = lambda_report
-
-    @property
-    def in_lambda_set(self) -> bool:
-        return bool(self.lambda_report and self.lambda_report.in_lambda_set)
+        self.in_lambda_set = in_lambda_set
 
     # -- evaluation --------------------------------------------------------
 
@@ -638,12 +638,6 @@ class FundamentalMatrix:
         u = self.at(c)
         return u[0, 0], u[1, 0], u[0, 1], u[1, 1]
 
-    def phi(self, x):
-        return self.at(x)[:, 0]
-
-    def psi(self, x):
-        return self.at(x)[:, 1]
-
     def column(self, index) -> SampledSolution:
         coeff = np.zeros(2, dtype=complex)
         coeff[index] = 1.0
@@ -677,8 +671,7 @@ def _forward(problem, lam, c, grid, solve) -> FundamentalMatrix:
         problem, lam, 0.0, c, rotation(problem.alpha), solve, samples)
     xs = sorted(found)
     return FundamentalMatrix(problem, lam, c, xs, [found[x] for x in xs],
-                             crossings, segments,
-                             lambda_report=report if report.in_lambda_set else None)
+                             crossings, segments, report.in_lambda_set)
 
 
 def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix:
@@ -688,7 +681,7 @@ def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix
     Raises BadPointError when some atom in (0, c) has a singular B+ (the
     forward transfer does not exist).  A singular B- alone is allowed:
     the propagation continues with a rank-1 transfer, the result is
-    flagged via ``lambda_report`` and downstream Weyl-geometry layers
+    flagged by ``in_lambda_set`` and downstream Weyl-geometry layers
     refuse to use it.
     """
     lam = complex(lam)

@@ -136,8 +136,10 @@ def tau(problem: Problem, lam, x) -> TauSample:
 
 def tau_profile(problem: Problem, lam, xs):
     """tau at several increasing x in [0, b), integrating each gap only
-    once."""
+    once; lam must be finite."""
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam={lam} is not finite")
     xs = [float(x) for x in xs]
     if xs != sorted(xs):
         raise ValueError("xs must be sorted increasingly")
@@ -443,8 +445,7 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
         crossings.append(AtomCrossing(t.x, jp_c, left, right,
                                       0.5 * (left + right)))
     return FundamentalMatrix(problem, lam_c, fm.c, xs, values, crossings, (),
-                             lambda_report=report if report.in_lambda_set
-                             else None)
+                             report.in_lambda_set)
 
 
 def conjugate_solution(problem: Problem, sol: SampledSolution,

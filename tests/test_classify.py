@@ -390,6 +390,15 @@ def test_caller_grid_ending_on_an_atom_is_nudged_before_definiteness():
     assert cs == [pt.c for pt in trace_disks(p, 1j, grid).points]
 
 
+def test_non_finite_caller_grids_are_refused():
+    p, _ = builtin_example("constant_w")
+    for grid in ([1.0, math.nan], [1.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            trace_disks(p, 1j, grid)
+        with pytest.raises(ValueError, match="finite"):
+            deficiency_indices(p, 1j, c_grid=grid)
+
+
 def test_empty_grids_are_refused():
     for name in ("bad_point_minus", "constant_w"):
         p, _ = builtin_example(name)
@@ -528,11 +537,7 @@ def test_catalog_traces_keep_every_point_with_closed_form_radii(name, params, la
         assert abs(pt.wset.radius - want) <= 1e-9 * want
 
 
-def test_deficiency_indices_refuses_definiteness_from_another_grid():
+def test_deficiency_indices_takes_definiteness_at_the_grids_last_point():
     p, _ = builtin_example("free_identity")
-    shared = definiteness(p, c_max=10.0)
-    with pytest.raises(ValueError, match="c_max"):
-        deficiency_indices(p, 1j, c_grid=[2.0, 5.0], definiteness=shared)
-    report = deficiency_indices(p, 1j, c_grid=[2.0, 5.0, 10.0],
-                                definiteness=shared)
+    report = deficiency_indices(p, 1j, c_grid=[2.0, 5.0, 10.0])
     assert report.diagnostics["definiteUpTo"] == 10.0

