@@ -19,7 +19,8 @@ Every trace propagates in the upper half plane only.  For real U(0)
 the Lagrange identity gives U(c, conj lam) = tau(c, conj lam)
 conj(U(c, lam)), so a trace below the real axis is read off the
 propagation at conj(lam) and a tau profile, and ``deficiency_indices``
-builds both of its traces from one propagation.
+builds both of its traces from one propagation and one tau profile
+call.  Each trace is one array pass over its grid.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadPointError, DegenerateUError, InconclusiveError
+from .errors import BadPointError, InconclusiveError, NonRealResultError
 from .measures import Problem
 from .propagation import bad_points, fundamental_matrix, kernel_gram
 from .weyl import (
     WeylDisk,
     WeylHalfPlane,
+    _lagrange,
+    _tau_profiles,
+    _weyl_sets,
     conjugate_fundamental,
-    norm_lagrange,
     null_norm_tolerance,
-    tau_profile,
-    weyl_set,
 )
 
 __all__ = [
@@ -90,8 +91,9 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
     explicitly instead yields c_k = c0 rho^k capped at c_max.  Grid
     points colliding with an atom are nudged by 1e-9 of the local gap,
     so every c is a continuity point.  Raises ValueError unless
-    0 < c0 < b, rho (when given) is finite and above 1, and, for an
-    infinite b, c_max is finite and above c0.
+    0 < c0 < b, rho (when given) is finite and above 1, and c_max (when
+    given, or always for an infinite b) is above c0 and keeps a grid
+    point; for an infinite b it must also be finite.
     """
     count = 24 if count is None else int(count)
     if count < 1:
@@ -106,8 +108,9 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
         ks = np.arange(count)
         grid = problem.b - (problem.b - c0) * rho ** (-ks)
         if c_max is not None:
-            capped = grid[grid <= float(c_max)]
-            grid = capped if capped.size else grid[:1]
+            grid = grid[grid <= float(c_max)]
+            if not (c0 < float(c_max) and grid.size):
+                raise ValueError(f"c_max={c_max} must be greater than c0={c0}")
     else:
         c_max = 30.0 if c_max is None else float(c_max)
         if not c0 < c_max < math.inf:
@@ -214,12 +217,15 @@ def _traces(problem, lams, c_grid):
     lam_up or to its conjugate for one lam_up with Im lam_up > 0, from a
     single propagation at lam_up.  Checks every lam against Lambda first;
     conj(lam) lies in Lambda exactly when lam does, since
-    det B+-(conj lam) = conj det B-+(lam).  Each disk's radius comes from
-    the trace's tau profile.  On the disk branch a trace stops where
-    ``weyl_set`` finds the disk's denominator, which is also the psi
-    norm's Lagrange numerator, in the rounding noise of its products.
-    That point does not depend on the side, since the noise ratio is
-    invariant under U -> t conj(U)."""
+    det B+-(conj lam) = conj det B-+(lam).  One ``_tau_profiles`` call
+    gives every trace its tau, and each disk's radius comes from it.
+    U at all grid points (stored samples), both Lagrange norms and the
+    Weyl sets (``weyl._weyl_sets``) are arrays over the grid.  In grid
+    order, a non-finite norm raises NonRealResultError, and a disk whose
+    denominator, also the psi norm's Lagrange numerator, is in the
+    rounding noise of its products stops the trace; that point does not
+    depend on the side, since the noise ratio is invariant under
+    U -> t conj(U)."""
     for lam in lams:
         if lam.imag == 0.0:
             raise ValueError("trace_disks needs Im lam != 0")
@@ -229,29 +235,26 @@ def _traces(problem, lams, c_grid):
 
     lam_up = complex(lams[0].real, abs(lams[0].imag))
     fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
-    tols = [null_norm_tolerance(problem, c) for c in c_grid]
+    tols = np.array([null_norm_tolerance(problem, c) for c in c_grid])
     traces = []
-    for lam in lams:
-        taus = tau_profile(problem, lam, c_grid)
+    for lam, taus in zip(lams, _tau_profiles(problem, lams, c_grid)):
         fm = fm_up if lam == lam_up else conjugate_fundamental(fm_up, taus)
-        u0 = fm.at(0.0)
-        points = []
-        truncated_at = None
-        for c, ts, tol_null in zip(c_grid, taus, tols):
-            uc = fm.at(float(c))
-            n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
-            n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
-            try:
-                ws = weyl_set(fm, c, n_psi, tol_null=tol_null, tau=ts.value)
-            except DegenerateUError:
-                if not points:
-                    raise
-                # the disk left the double-precision envelope; later points
-                # carry no usable geometry, stop the trace here.
-                truncated_at = float(c)
-                break
-            points.append(TracePoint(float(c), ws, n_psi, n_phi, ts.value))
-        traces.append(DiskTrace(lam, tuple(points), truncated_at))
+        u = fm._samples_at(c_grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # rows past the trace's stop are never used; a non-finite
+            # row before it raises below.  Columns: phi, psi.
+            norms = (_lagrange(fm.at(0.0)) - _lagrange((u[:, 0], u[:, 1]))) / lam.imag
+        k = int(np.argmax(np.append(~np.isfinite(norms).all(axis=1), True)))
+        entries = (u[:k, 0, 0], u[:k, 1, 0], u[:k, 0, 1], u[:k, 1, 1])
+        sets = (_weyl_sets(lam, c_grid[:k], entries, norms[:k, 1], tols[:k],
+                           [t.value for t in taus[:k]]) if k else [])
+        if len(sets) == k < len(c_grid):   # no stop before the bad norm
+            raise NonRealResultError(f"Lagrange norms (phi, psi) came out "
+                                     f"non-finite at c={c_grid[k]}: {norms[k]}")
+        points = tuple(TracePoint(ws.c, ws, psi, phi, t.value)
+                       for ws, (phi, psi), t in zip(sets, norms.tolist(), taus))
+        truncated_at = float(c_grid[len(sets)]) if len(sets) < len(c_grid) else None
+        traces.append(DiskTrace(lam, points, truncated_at))
     return traces
 
 

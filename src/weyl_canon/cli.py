@@ -30,7 +30,7 @@ from .errors import (
 )
 from .measures import parse_problem
 from .oracle import OracleConfig, compare_propagators
-from .weyl import WeylDisk, tau_profile
+from .weyl import WeylDisk, _tau_profiles
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -266,7 +266,7 @@ def tau(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
         p = _load_problem(problem, example)
         grid = default_c_grid(p, c0=c0, rho=rho, count=count, c_max=cmax)
         lams = [parse_lambda(s) for s in lambdas]
-        profiles = [tau_profile(p, lam, grid) for lam in lams]
+        profiles = _tau_profiles(p, lams, grid)
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)

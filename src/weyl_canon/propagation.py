@@ -633,6 +633,14 @@ class FundamentalMatrix:
         crossing = self._atom_index.get(x)
         return crossing.right.copy() if crossing is not None else self._eval_dense(x)
 
+    def _samples_at(self, xs) -> np.ndarray:
+        """U at the points xs, K x 2 x 2: one index into ``values`` when
+        each x is a stored sample, else ``at`` point by point."""
+        k = np.searchsorted(self.xs, xs).clip(max=self.xs.size - 1)
+        if np.array_equal(self.xs[k], xs):
+            return self.values[k]
+        return np.array([self.at(x) for x in xs]).reshape(-1, 2, 2)
+
     def entries(self, c):
         """(A, B, C, D) = (U11, U21, U12, U22) at the continuity point c."""
         u = self.at(c)

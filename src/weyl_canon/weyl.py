@@ -21,7 +21,9 @@ cancels to rounding noise where det U decays while U grows.  Only
 identity stays an independent check.
 
 Every Lagrange quantity reads one scalar, Im(conj(u1) u2) = i u* J u / 2:
-the norms, the disk's denominator and the half plane's level.
+the norms, the disk's denominator and the half plane's level.  It and
+the Weyl-set formulas work on arrays: ``_weyl_sets`` gives a trace's
+sets at one lam in one pass, and ``weyl_set`` is its one-point call.
 """
 
 from __future__ import annotations
@@ -136,33 +138,45 @@ def tau(problem: Problem, lam, x) -> TauSample:
 
 def tau_profile(problem: Problem, lam, xs):
     """tau at several increasing x in [0, b), integrating each gap only
-    once; lam must be finite."""
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise ValueError(f"lam={lam} is not finite")
+    once; lam must be finite.  The one-lam case of ``_tau_profiles``."""
+    return _tau_profiles(problem, [lam], xs)[0]
+
+
+def _tau_profiles(problem: Problem, lams, xs):
+    """``tau_profile`` at each of ``lams`` over the same points: the
+    lam-independent integrals of Im q12 and Im w12 are formed once, gap
+    by gap, and each lam applies its own atom product and exponential."""
+    lams = [complex(lam) for lam in lams]
+    for lam in lams:
+        if not cmath.isfinite(lam):
+            raise ValueError(f"lam={lam} is not finite")
     xs = [float(x) for x in xs]
     if xs != sorted(xs):
         raise ValueError("xs must be sorted increasingly")
     if xs and not (0.0 <= xs[0] and xs[-1] < problem.b):
         raise ValueError(f"xs={xs} outside [0, {problem.b})")
-    samples = []
+    integrals = []
     iq = iw = 0.0
-    prev = 0.0
-    pending = list(atom_jumps(problem, lam).values())
-    product = complex(1.0)
-    for x in xs:
+    for prev, x in zip([0.0] + xs, xs):
         dq_, dw_ = _imag12_integrals(problem, prev, x)
         iq += dq_
         iw += dw_
-        while pending and pending[0].position < x:
-            jp = pending.pop(0)
-            if jp.plus_singular:
-                raise BadPointError(bad_points(problem, lam))
-            product *= jp.det_minus / jp.det_plus
-        factor = _tau_factor(iq, iw, lam, x)
-        samples.append(TauSample(x, lam, product, factor, product * factor))
-        prev = x
-    return samples
+        integrals.append((iq, iw))
+    profiles = []
+    for lam in lams:
+        samples = []
+        pending = list(atom_jumps(problem, lam).values())
+        product = complex(1.0)
+        for x, (iq, iw) in zip(xs, integrals):
+            while pending and pending[0].position < x:
+                jp = pending.pop(0)
+                if jp.plus_singular:
+                    raise BadPointError(bad_points(problem, lam))
+                product *= jp.det_minus / jp.det_plus
+            factor = _tau_factor(iq, iw, lam, x)
+            samples.append(TauSample(x, lam, product, factor, product * factor))
+        profiles.append(samples)
+    return profiles
 
 
 # --------------------------------------------------------------------------
@@ -178,11 +192,12 @@ class NormValue:
     method: str
 
 
-def _lagrange(u) -> float:
-    """Im(conj(u1) u2), the one scalar behind every Lagrange quantity:
-    u* J u = -2i Im(conj(u1) u2) is exactly imaginary for every u."""
+def _lagrange(u):
+    """Im(conj(u1) u2), elementwise over u = (u1, u2), the one scalar
+    behind every Lagrange quantity: u* J u = -2i Im(conj(u1) u2) is
+    exactly imaginary for every u."""
     u1, u2 = u
-    return float(u1.real * u2.imag - u1.imag * u2.real)
+    return u1.real * u2.imag - u1.imag * u2.real
 
 
 def norm_lagrange(u0, uc, lam, c=None) -> NormValue:
@@ -198,7 +213,7 @@ def norm_lagrange(u0, uc, lam, c=None) -> NormValue:
     lam = complex(lam)
     if lam.imag == 0.0:
         raise ValueError("the Lagrange norm identity needs Im lam != 0")
-    value = (_lagrange(u0) - _lagrange(uc)) / lam.imag
+    value = float((_lagrange(u0) - _lagrange(uc)) / lam.imag)
     if not math.isfinite(value):
         raise NonRealResultError(f"Lagrange norm came out non-finite: {value}")
     return NormValue(float(c) if c is not None else math.nan,
@@ -289,32 +304,72 @@ def det_noise_ratio(entries) -> float:
     return RTOL * scale / abs(det_u)
 
 
-def _disk_denominator(C, D, c) -> complex:
-    """C conj(D) - conj(C) D = -2i Im(conj(C) D), the Weyl disk's
-    denominator and, since U(0) is real, 2i Im lam ||psi||_c^2 by the
-    Lagrange identity.
+def _disk_denominator(C, D):
+    """C conj(D) - conj(C) D = -2i Im(conj(C) D) elementwise, the Weyl
+    disk's denominator and, since U(0) is real, 2i Im lam ||psi||_c^2 by
+    the Lagrange identity; and whether each is lost in the rounding noise
+    of its two products, RTOL 2|C||D| / |C conj(D) - conj(C) D| > 1e-2:
+    c is then past the range where double precision resolves the disk."""
+    denom = -2.0 * _lagrange((C, D)) * 1j
+    return denom, _abs(denom) <= 100.0 * RTOL * 2.0 * _abs(C) * _abs(D)
 
-    Raises DegenerateUError when it is lost in the rounding noise of its
-    two products, RTOL 2|C||D| / |C conj(D) - conj(C) D| > 1e-2: c is
-    then past the range where double precision resolves the disk."""
-    denom = complex(0.0, -2.0 * _lagrange((C, D)))
-    if abs(denom) <= 100.0 * RTOL * 2.0 * abs(C) * abs(D):
+
+def _abs(z):
+    """|z| elementwise as Python's abs(complex) rounds it."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _times_conj(x, y):
+    """x conj(y) elementwise, rounded as the product of two numpy complex
+    scalars: an array product may fuse a multiply with its add."""
+    z = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    z.real = x.real * y.real + x.imag * y.imag
+    z.imag = x.imag * y.real - x.real * y.imag
+    return z
+
+
+def _weyl_sets(lam, cs, entries, norm_psi_sq, tol_null, taus):
+    """The Weyl sets at one lam over the continuity points cs, from arrays
+    over them of the entries (A, B, C, D), the psi norm, its zero cutoff
+    and tau = det U: the half plane Im m = -Im(conj(A) B) where the norm
+    is at most the cutoff, else the disk with center
+    (B conj(C) - A conj(D)) / (C conj(D) - conj(C) D) and radius
+    |tau| / |C conj(D) - conj(C) D|.  They run in grid order up to the
+    first disk whose denominator is in rounding noise, where the trace
+    stops; raises DegenerateUError when that is the first point."""
+    A, B, C, D = (np.asarray(e) for e in entries)
+    halfplane = np.asarray(norm_psi_sq) <= np.asarray(tol_null)
+    with np.errstate(over="ignore", invalid="ignore"):  # unused past the stop
+        denom, noisy = _disk_denominator(C, D)
+    stop = int(np.argmax(np.append(noisy & ~halfplane, True)))
+    if stop == 0:
         raise DegenerateUError(
-            f"C conj(D) - conj(C) D = {denom:.3e} at c={c} is within the "
-            "rounding noise of its products; c is past the "
+            f"C conj(D) - conj(C) D = {denom[0]:.3e} at c={cs[0]} is within "
+            "the rounding noise of its products; c is past the "
             "float-representable range of the Weyl disk")
-    return denom
+    A, B, C, D, denom = (v[:stop] for v in (A, B, C, D, denom))
+    with np.errstate(divide="ignore", invalid="ignore"):  # half planes: unused
+        center = (_times_conj(B, C) - _times_conj(A, D)) / denom
+        radius = _abs(np.asarray(taus)[:stop]) / _abs(denom)
+    level = -_lagrange((A, B))
+    rho = _times_conj(A, D) - _times_conj(B, C)
+    side = 1 if lam.imag > 0 else -1
+    return [WeylHalfPlane(c, lam, lv, side, r, e) if h else WeylDisk(c, lam, m, rd, e)
+            for c, h, m, rd, lv, r, e in zip(
+                np.asarray(cs, dtype=float).tolist(), halfplane.tolist(),
+                center.tolist(), radius.tolist(), level.tolist(), rho.tolist(),
+                zip(A, B, C, D))]
 
 
 def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None, tau=None):
-    """Disk or half plane at the continuity point c.
+    """Disk or half plane at the continuity point c: ``_weyl_sets`` at
+    the one point.
 
     The branch is decided by the psi norm against the scale-aware zero
-    cutoff; the disk data come from the Moebius-image circle equation:
-    center (B conj(C) - A conj(D)) / (C conj(D) - conj(C) D), radius
-    |tau| / |C conj(D) - conj(C) D|.  ``tau`` is tau(c, lam) = det U(c),
-    computed here when not given; unlike the entry determinant AD - BC
-    it does not cancel to noise where det U decays while U grows.
+    cutoff; the disk data come from the Moebius-image circle equation.
+    ``tau`` is tau(c, lam) = det U(c), computed here when the disk needs
+    it and is not given; unlike the entry determinant AD - BC it does
+    not cancel to noise where det U decays while U grows.
 
     Raises DegenerateUError when lambda lies in Lambda (U has rank 1 and
     tau = 0), and on the disk branch when C conj(D) - conj(C) D is lost
@@ -328,20 +383,13 @@ def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None, tau=None):
             f"lambda={lam} lies in Lambda: U(., lambda) is singular and "
             "has no Weyl set")
     c = float(c)
-    A, B, C, D = entries = fm.entries(c)
     if tol_null is None:
         tol_null = null_norm_tolerance(fm.problem, c)
-
-    if norm_psi_sq <= tol_null:
-        level = -_lagrange((A, B))
-        rho = A * np.conj(D) - B * np.conj(C)
-        return WeylHalfPlane(c, lam, level, 1 if lam.imag > 0 else -1,
-                             complex(rho), entries)
-    denom = _disk_denominator(C, D, c)
-    if tau is None:
-        tau = tau_profile(fm.problem, lam, [c])[0].value
-    center = (B * np.conj(C) - A * np.conj(D)) / denom
-    return WeylDisk(c, lam, complex(center), float(abs(tau) / abs(denom)), entries)
+    if tau is None:   # a half plane needs no tau
+        tau = (tau_profile(fm.problem, lam, [c])[0].value
+               if not norm_psi_sq <= tol_null else math.nan)
+    entries = [[e] for e in fm.entries(c)]
+    return _weyl_sets(lam, [c], entries, [norm_psi_sq], [tol_null], [tau])[0]
 
 
 def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
@@ -355,7 +403,8 @@ def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
     if fm is None:
         fm = fundamental_matrix(problem, lam, c)
     n_psi = norm_quadrature(problem, fm.column(1), c).value
-    if n_psi <= null_norm_tolerance(problem, c):
+    tol_null = null_norm_tolerance(problem, c)
+    if n_psi <= tol_null:
         raise DegenerateHalfPlaneError(
             f"psi norm {n_psi:.3e} is numerically zero at c={c}; "
             "the Weyl set is a half plane and has no radius")
@@ -364,7 +413,8 @@ def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
         raise DegenerateUError(
             f"det U(c={c}) = {A * D - B * C:.3e} is within the noise floor "
             "of the entry products; the geometric radius is not resolved")
-    radius = abs(A * D - B * C) / abs(_disk_denominator(C, D, c))
+    radius = _weyl_sets(lam, [c], [[e] for e in entries], [n_psi], [tol_null],
+                        [A * D - B * C])[0].radius
     formula = abs(tau(problem, lam, c).value) / (2.0 * abs(lam.imag) * n_psi)
     return abs(radius - formula) / radius
 
@@ -419,23 +469,23 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
     For real U(0) the Lagrange identity U(x, conj lam)* J U(x, lam) = J
     gives U(x, conj lam) = tau(x, conj lam) conj(U(x, lam)).  ``taus`` is
     tau_profile(problem, conj lam, xs) over sorted points of [0, fm.c]:
-    each continuity point becomes a stored sample, and each atom crossed
-    by fm (where the profile holds the left limit of tau) becomes a
-    crossing with its one-sided and balanced values.  The result has no
-    dense interpolant: it evaluates at 0 and at these points only.
+    the continuity points become stored samples, formed as one array
+    product, and each atom crossed by fm (where the profile holds the
+    left limit of tau) becomes a crossing with its one-sided and
+    balanced values.  The result has no dense interpolant: it evaluates
+    at 0 and at these points only.
     """
     problem = fm.problem
     lam_c = complex(fm.lam).conjugate()
     report = bad_points(problem, lam_c)
     jumps_c = atom_jumps(problem, lam_c)
     crossed = {cr.position: cr for cr in fm.crossings}
-    xs, values, crossings = [0.0], [np.conj(fm.at(0.0))], []
+    samples, crossings = [], []
     for t in taus:
         cr = crossed.get(t.x)
         if cr is None:
             if t.x > 0.0:
-                xs.append(t.x)
-                values.append(t.value * np.conj(fm.at(t.x)))
+                samples.append(t)
             continue
         jp_c = jumps_c[t.x]
         if jp_c.plus_singular:
@@ -444,6 +494,11 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
         right = t.value * jp_c.det_minus / jp_c.det_plus * np.conj(cr.right)
         crossings.append(AtomCrossing(t.x, jp_c, left, right,
                                       0.5 * (left + right)))
+    xs = [0.0] + [t.x for t in samples]
+    values = np.concatenate((
+        np.conj(fm.at(0.0))[None],
+        np.array([t.value for t in samples], dtype=complex)[:, None, None]
+        * np.conj(fm._samples_at(xs[1:]))))
     return FundamentalMatrix(problem, lam_c, fm.c, xs, values, crossings, (),
                              report.in_lambda_set)
 

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +16,22 @@ from weyl_canon.classify import (
     deficiency_indices,
     definiteness,
     detect_limit,
+    perturb_off_atoms,
     trace_disks,
 )
-from weyl_canon.errors import BadPointError
-from weyl_canon.measures import CoefficientMeasure, Problem
-from weyl_canon.propagation import fundamental_matrix
-from weyl_canon.weyl import WeylDisk, norm_lagrange
+from weyl_canon.errors import BadPointError, DegenerateUError, WeylCanonError
+from weyl_canon.measures import CoefficientMeasure, Problem, parse_problem
+from weyl_canon.propagation import bad_points, fundamental_matrix
+from weyl_canon.weyl import (
+    WeylDisk,
+    conjugate_fundamental,
+    norm_lagrange,
+    null_norm_tolerance,
+    tau_profile,
+    weyl_set,
+)
 
 from conftest import (
-    count_calls,
     pick_lambda_outside_bad_set,
     random_piecewise_problem,
     rel_err,
@@ -345,14 +354,22 @@ def test_trace_truncation_is_reported(lam, kept, truncated_at):
 
 def test_trace_judges_each_disk_denominator_once(monkeypatch):
     # counted wherever the name is bound, so a module that imported it
-    # and judges the denominator itself is counted too
-    counts = [count_calls(monkeypatch, module, "_disk_denominator")
-              for module in (weyl_canon.weyl, weyl_canon.classify)
-              if hasattr(module, "_disk_denominator")]
+    # and judges the denominator itself is counted too; each call may
+    # judge a whole array of denominators, so the count is their number
+    judged = []
+    for module in (weyl_canon.weyl, weyl_canon.classify):
+        if hasattr(module, "_disk_denominator"):
+            original = module._disk_denominator
+
+            def counted(C, D, *args, original=original):
+                judged.append(np.size(C))
+                return original(C, D, *args)
+
+            monkeypatch.setattr(module, "_disk_denominator", counted)
     p, _ = builtin_example("constant_w")
     trace = trace_disks(p, 1j)
     assert len(trace.disk_points()) == len(trace.points) == 24
-    assert sum(len(calls) for calls in counts) == 24
+    assert sum(judged) == 24
 
 
 def test_truncated_traces_still_give_the_indices():
@@ -541,3 +558,111 @@ def test_deficiency_indices_takes_definiteness_at_the_grids_last_point():
     p, _ = builtin_example("free_identity")
     report = deficiency_indices(p, 1j, c_grid=[2.0, 5.0, 10.0])
     assert report.diagnostics["definiteUpTo"] == 10.0
+
+
+# -- the array pass against the per-point loop ---------------------------------
+
+_BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+
+
+def _bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", _BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_trace(problem, lam, c_grid):
+    """The trace one grid point at a time, from the public scalar route
+    only: (points, truncated_at) with points (c, wset, psi, phi, tau)."""
+    lam = complex(lam)
+    if bad_points(problem, lam).in_lambda_set:
+        raise BadPointError(bad_points(problem, lam))
+    lam_up = complex(lam.real, abs(lam.imag))
+    fm = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
+    taus = tau_profile(problem, lam, c_grid)
+    if lam != lam_up:
+        fm = conjugate_fundamental(fm, taus)
+    u0 = fm.at(0.0)
+    points = []
+    for c, ts in zip(c_grid, taus):
+        uc = fm.at(float(c))
+        n_psi = norm_lagrange(u0[:, 1], uc[:, 1], lam, c).value
+        n_phi = norm_lagrange(u0[:, 0], uc[:, 0], lam, c).value
+        try:
+            ws = weyl_set(fm, c, n_psi, tol_null=null_norm_tolerance(problem, c),
+                          tau=ts.value)
+        except DegenerateUError:
+            if not points:
+                raise
+            return points, float(c)
+        points.append((float(c), ws, n_psi, n_phi, ts.value))
+    return points, None
+
+
+# set beforehand from float64 rounding, not from observed differences
+REFERENCE_RTOL = 1e-13
+
+
+def assert_matches_reference(problem, lam, c_grid):
+    c_grid = perturb_off_atoms(c_grid, problem)
+    try:
+        points, truncated_at = reference_trace(problem, lam, c_grid)
+    except WeylCanonError as exc:
+        with pytest.raises(type(exc)):
+            trace_disks(problem, lam, c_grid)
+        return
+    trace = trace_disks(problem, lam, c_grid)
+    assert trace.truncated_at == truncated_at
+    assert len(trace.points) == len(points)
+
+    def close(a, b):
+        return abs(a - b) <= REFERENCE_RTOL * max(abs(a), abs(b))
+
+    for got, (c, ws, n_psi, n_phi, tau) in zip(trace.points, points):
+        assert (got.c, got.tau) == (c, tau)
+        assert type(got.wset) is type(ws)
+        assert close(got.psi_norm_sq, n_psi) and close(got.phi_norm_sq, n_phi)
+        assert all(close(e, f) for e, f in zip(got.wset.entries, ws.entries))
+        if isinstance(ws, WeylDisk):
+            assert close(got.wset.center, ws.center)
+            assert close(got.wset.radius, ws.radius)
+        else:
+            assert got.wset.orientation == ws.orientation
+            assert close(got.wset.level, ws.level)
+            assert close(got.wset.rho, ws.rho)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("lesch_malamud", {"a": 1.0}), ("lesch_malamud", {"a": 0.0}),
+    ("constant_w", {}), ("free_identity", {}),
+    ("bad_point_minus", {}), ("bad_point_plus", {})])
+@pytest.mark.parametrize("lam", [1j, 2j, 0.5 - 1j, -0.5 + 0.5j])
+def test_catalog_traces_match_the_per_point_loop(name, params, lam):
+    p, _ = builtin_example(name, **params)
+    for side in (lam, lam.conjugate()):
+        assert_matches_reference(p, side, default_c_grid(p))
+
+
+def test_benchmark_documents_trace_as_the_per_point_loop():
+    inputs = _bench_inputs()
+    ops = inputs.piecewise_operations(1)
+    assert sum(op["lam"].imag < 0 for op in ops) == len(ops) // 2
+    for op in ops:
+        assert_matches_reference(parse_problem(op["text"]), op["lam"],
+                                 inputs.PIECEWISE_GRID)
+
+
+@pytest.mark.parametrize("lam", [1j, 2j, 0.5 + 0.5j])
+def test_truncated_traces_match_the_per_point_loop(lam):
+    p = truncating_problem()
+    for side in (lam, lam.conjugate()):
+        assert_matches_reference(p, side, default_c_grid(p))
+    assert trace_disks(p, lam).truncated_at is not None
+
+
+@pytest.mark.parametrize("lam", [1j, 0.5 - 1j])
+def test_halfplane_traces_match_the_per_point_loop(lam):
+    p = halfplane_problem()
+    assert_matches_reference(p, lam, default_c_grid(p))
+    assert not trace_disks(p, lam).disk_points()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,9 @@ import weyl_canon
 from weyl_canon.catalog import builtin_example
 from weyl_canon.classify import default_c_grid, deficiency_indices
 from weyl_canon.cli import main, parse_lambda
+from weyl_canon.weyl import tau_profile
+
+from conftest import count_calls
 
 
 VALID_DOC = json.dumps({"b": 2, "alpha": 0, "q": {},
@@ -222,6 +226,25 @@ def test_tau_csv(runner):
         assert float(row["tau_abs"]) == pytest.approx(math.exp(-2 * x), rel=1e-8)
 
 
+def test_tau_integrates_once_for_several_lambda(runner, monkeypatch):
+    calls = count_calls(monkeypatch, weyl_canon.weyl, "_imag12_integrals")
+    result = invoke(runner, ["tau", "--example", "lesch_malamud(a=1)",
+                             "--lambda", "i", "--lambda", "0.5-i",
+                             "--format", "json"])
+    assert result.exit_code == 0
+    # one integral per gap of the 24-point grid, shared by both lambda
+    assert len(calls) == 24
+    problem, _ = builtin_example("lesch_malamud", a=1.0)
+    grid = default_c_grid(problem)
+    expected = [{"lambda": [lam.real, lam.imag],
+                 "points": [{"x": s.x, "tau": [s.value.real, s.value.imag],
+                             "abs": abs(s.value)}
+                            for s in tau_profile(problem, lam, grid)]}
+                for lam in (1j, 0.5 - 1j)]
+    assert json.loads(result.output) == {"schema": "weyl-canon/tau/v1",
+                                         "profiles": expected}
+
+
 # -- oracle-compare ------------------------------------------------------------------
 
 def test_oracle_compare(runner):
@@ -320,6 +343,28 @@ def test_bad_grid_options_exit_2(runner, command, options):
                              "--lambda", "i", *options])
     assert result.exit_code == 2
     assert "error:" in result.output
+
+
+# on a finite b, a cap that is NaN or not above c0 used to shrink the
+# grid to its first point, and the commands exited 0 with one row
+@pytest.mark.parametrize("target", ["default_c_grid", "tau", "disks", "classify"])
+@pytest.mark.parametrize("cmax", ["nan", "0.1", "-1", "0.4"])
+def test_finite_b_cmax_without_a_grid_is_refused(runner, tmp_path, target, cmax):
+    doc = json.dumps({"b": 4, "alpha": 0, "q": {}, "w": {"d11": "1", "d22": "1"}})
+    if target == "default_c_grid":
+        problem = weyl_canon.parse_problem(doc)
+        with pytest.raises(ValueError, match="c_max"):
+            default_c_grid(problem, c_max=float(cmax))
+        # an infinite cap keeps the whole grid
+        assert (default_c_grid(problem, c_max=math.inf)
+                == default_c_grid(problem)).all()
+        return
+    path = tmp_path / "p.json"
+    path.write_text(doc)
+    result = invoke(runner, [target, "--problem", str(path), "--lambda", "i",
+                             "--cmax", cmax])
+    assert result.exit_code == 2
+    assert "c_max" in result.output
 
 
 def test_commands_are_deterministic(runner):
