@@ -209,16 +209,17 @@ def trace_disks(problem: Problem, lam, c_grid=None) -> DiskTrace:
     conj(lam) when Im lam < 0: the entries there are
     tau(c, lam) conj(U(c, conj lam)), with tau from the trace's own
     profile."""
-    return _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))[0]
+    return _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))[0][0]
 
 
 def _traces(problem, lams, c_grid):
-    """Disk traces over ``c_grid`` at each of ``lams``, all equal to
-    lam_up or to its conjugate for one lam_up with Im lam_up > 0, from a
-    single propagation at lam_up.  Checks every lam against Lambda first;
-    conj(lam) lies in Lambda exactly when lam does, since
-    det B+-(conj lam) = conj det B-+(lam).  One ``_tau_profiles`` call
-    gives every trace its tau, and each disk's radius comes from it.
+    """(disk trace, zero-norm cutoff at its last point) over ``c_grid``
+    at each of ``lams``, all equal to lam_up or to its conjugate for one
+    lam_up with Im lam_up > 0, from a single propagation at lam_up.
+    Checks every lam against Lambda first; conj(lam) lies in Lambda
+    exactly when lam does, since det B+-(conj lam) = conj det B-+(lam).
+    One ``_tau_profiles`` call gives every trace its tau, and each disk's
+    radius comes from it, and one ``null_norm_tolerance`` call the cutoffs.
     U at all grid points (stored samples), both Lagrange norms and the
     Weyl sets (``weyl._weyl_sets``) are arrays over the grid.  In grid
     order, a non-finite norm raises NonRealResultError, and a disk whose
@@ -235,7 +236,7 @@ def _traces(problem, lams, c_grid):
 
     lam_up = complex(lams[0].real, abs(lams[0].imag))
     fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
-    tols = np.array([null_norm_tolerance(problem, c) for c in c_grid])
+    tols = null_norm_tolerance(problem, c_grid)
     traces = []
     for lam, taus in zip(lams, _tau_profiles(problem, lams, c_grid)):
         fm = fm_up if lam == lam_up else conjugate_fundamental(fm_up, taus)
@@ -254,7 +255,7 @@ def _traces(problem, lams, c_grid):
         points = tuple(TracePoint(ws.c, ws, psi, phi, t.value)
                        for ws, (phi, psi), t in zip(sets, norms.tolist(), taus))
         truncated_at = float(c_grid[len(sets)]) if len(sets) < len(c_grid) else None
-        traces.append(DiskTrace(lam, points, truncated_at))
+        traces.append((DiskTrace(lam, points, truncated_at), tols[len(sets) - 1]))
     return traces
 
 
@@ -287,13 +288,13 @@ def classify_norm_growth(cs, values, tol_null, config=DEFAULT_CONFIG):
     diffs = np.clip(diffs, 0.0, None)
     info["lastIncrement"] = float(diffs[-1]) if diffs.size else 0.0
 
-    # growth exponent of log ||.||^2 versus c over the tail
+    # growth exponent of log ||.||^2 versus c over the tail: the
+    # least-squares slope sum (x - mean x)(y - mean y) / sum (x - mean x)^2
     tail = slice(max(0, len(cs) // 2), None)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.maximum(values[tail], 1e-300))
+    logs = np.log(np.maximum(values[tail], 1e-300))
     if cs[tail].size >= 2:
-        slope = np.polyfit(cs[tail], logs, 1)[0]
-        info["growthExponent"] = float(slope)
+        x = cs[tail] - cs[tail].mean()
+        info["growthExponent"] = float(x @ (logs - logs.mean()) / (x @ x))
 
     if diffs.size < 3:
         return NormClass.AMBIGUOUS, info
@@ -452,9 +453,8 @@ def definiteness(problem: Problem, c_max=None) -> DefinitenessResult:
 # deficiency indices
 # --------------------------------------------------------------------------
 
-def _norm_classes(problem, trace, config):
+def _norm_classes(trace, tol, config):
     cs = trace.cs
-    tol = null_norm_tolerance(problem, float(cs[-1]))
     psi_cls, psi_info = classify_norm_growth(
         cs, [p.psi_norm_sq for p in trace.points], tol, config)
     phi_cls, phi_info = classify_norm_growth(
@@ -467,8 +467,8 @@ def all_solutions_l2(problem: Problem, lam, c_grid=None,
     """True when every solution at lam lies in L^2(w), read from the
     convergence of both column norms over the grid.  Raises
     InconclusiveError when the trend cannot be resolved."""
-    trace = trace_disks(problem, lam, c_grid)
-    (psi_cls, _), (phi_cls, _) = _norm_classes(problem, trace, config)
+    [(trace, tol)] = _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))
+    (psi_cls, _), (phi_cls, _) = _norm_classes(trace, tol, config)
     finite = {NormClass.ZERO, NormClass.CONVERGING}
     if psi_cls is NormClass.AMBIGUOUS or phi_cls is NormClass.AMBIGUOUS:
         raise InconclusiveError(
@@ -551,11 +551,10 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
     defres = definiteness(problem, c_max=float(c_grid[-1]))
     d = defres.dim_null_space
 
-    trace_up, trace_dn = _traces(problem, (lam_up, lam_up.conjugate()), c_grid)
-    (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(
-        problem, trace_up, config)
-    (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(
-        problem, trace_dn, config)
+    (trace_up, tol_up), (trace_dn, tol_dn) = _traces(
+        problem, (lam_up, lam_up.conjugate()), c_grid)
+    (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(trace_up, tol_up, config)
+    (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(trace_dn, tol_dn, config)
 
     inconclusive = False
     notes = []

@@ -6,8 +6,9 @@ entries d11 (real), d12 (complex; d21 is its conjugate) and d22 (real),
 plus finitely many point masses (atoms).  ``Problem`` bundles the
 interval (0, b), the boundary angle alpha and the two coefficients q
 (Hermitian) and w (non-negative, not identically zero), and validates
-all of that eagerly.  Instances are immutable after construction, apart
-from memos filled on first use, and safe to share between threads.
+all of that eagerly.  Instances are immutable after construction apart
+from first-use memos (the compiled entries; ``CoefficientMeasure.mass``
+of each span of a c-grid's gaps), and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class CoefficientMeasure:
 
     def mass(self, a, b) -> float:
         """Memoized quadrature of the density's Frobenius norm over (a, b),
-        which must hold no atom or jump; for scale-aware tolerances only."""
+        a span of a c-grid's gap without atom or jump (``Problem.w_mass``),
+        so another lam on the same grid runs none; for tolerances only."""
         key = (a, b)
         if key not in self._mass_cache:
             def frob(x):
@@ -389,22 +391,30 @@ class Problem:
                 if piece.lo < hi and lo < piece.hi:
                     yield piece, max(piece.lo, lo), min(piece.hi, hi)
 
-    def integrate(self, f, lo, hi, epsabs, epsrel, limit, piece_integral=None):
-        """Integral of f over (lo, hi) in (0, b), summed over ``spans``
-        from left to right, so that no quadrature spans a discontinuity.
+    def integrate(self, f, xs, epsabs, epsrel, limit, piece_integral=None):
+        """[integral of f over (0, x) for x in xs], xs increasing, in one
+        pass: each gap between consecutive points (0 before the first) is
+        summed over its ``spans``, so that no quadrature spans a
+        discontinuity, and the gaps are added from left to right.
 
         ``piece_integral(piece, a, b)``, where given, returns the integral
         of f over the span (a, b) of ``piece`` from what its forms give
         (``Piece.integrals``), or None where they do not determine it.  f is integrated by one
         adaptive quadrature at the given tolerances on each span where
         it returns None, and only there."""
-        total = 0
-        for piece, a, b in self.spans(lo, hi):
-            value = None if piece_integral is None else piece_integral(piece, a, b)
-            if value is None:
-                value = integrate(f, a, b, epsabs, epsrel, limit)[0]
-            total = total + value
-        return total
+        out, total = [], 0
+        for lo, hi in zip([0.0, *xs], xs):
+            if hi < lo:
+                raise ValueError(f"xs must increase from 0, got {hi} after {lo}")
+            gap = 0
+            for piece, a, b in self.spans(lo, hi):
+                value = None if piece_integral is None else piece_integral(piece, a, b)
+                if value is None:
+                    value = integrate(f, a, b, epsabs, epsrel, limit)[0]
+                gap = gap + value
+            total = total + gap
+            out.append(total)
+        return out
 
     # -- validation --------------------------------------------------------
 
@@ -567,21 +577,20 @@ class Problem:
             return a0, ar, ai
         return None
 
-    def w_mass(self, c) -> float:
-        """Frobenius total-variation scale of w on (0, c), summed over the
-        pieces: h |W|_F exactly where w is constant, ``w.mass`` (memoized
-        quadrature) on the others, plus |Delta_w|_F per atom."""
-        c = float(c)
-        total = sum(float(np.linalg.norm(a.matrix))
-                    for a in self.w.atoms if a.position < c)
-        for piece, lo, hi in self.spans(0.0, c):
+    def w_mass(self, cs):
+        """Frobenius total-variation scale of w on (0, c) at each c of the
+        increasing cs, one ``integrate`` pass: h |W|_F where w is constant,
+        ``w.mass`` on each other span, plus each atom's |Delta_w|_F below c."""
+        def span_mass(piece, lo, hi):
             w11, w12, w22 = piece.values[3:]
             if None in (w11, w12, w22):
-                total += self.w.mass(lo, hi)
-            else:
-                total += (hi - lo) * math.sqrt(
-                    w11.real ** 2 + 2 * abs(w12) ** 2 + w22.real ** 2)
-        return total
+                return self.w.mass(lo, hi)
+            return (hi - lo) * math.sqrt(w11.real ** 2 + 2 * abs(w12) ** 2 + w22.real ** 2)
+
+        atoms = np.cumsum([0.0] + [float(np.linalg.norm(a.matrix)) for a in self.w.atoms])
+        below = np.searchsorted([a.position for a in self.w.atoms], cs)   # atoms below c
+        # every span has a value, so no f and no tolerances are needed
+        return np.array(self.integrate(None, cs, None, None, None, span_mass)) + atoms[below]
 
     # -- serialization -----------------------------------------------------
 
@@ -607,10 +616,13 @@ class Problem:
 # --------------------------------------------------------------------------
 
 def _number(value, where):
+    """A JSON number as a float; JSON booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: expected a number")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: expected a number") from None
+    except OverflowError:
+        raise SchemaError(f"{where}: an integer beyond the float range") from None
 
 
 def _parse_matrix(pairs, where):

@@ -757,9 +757,8 @@ def _gram(fm, c, coeff=None) -> np.ndarray:
              if w is None else _density_matrix(*w))
         return form(fm.at(0.5 * (lo + hi)), w)
 
-    G = problem.integrate(lambda x: form(fm.at(x), density(x)), 0.0, c,
-                          epsabs=1e-13, epsrel=1e-11, limit=200,
-                          piece_integral=constant_v)
+    [G] = problem.integrate(lambda x: form(fm.at(x), density(x)), [c],
+                            1e-13, 1e-11, 200, constant_v)
     for crossing in fm.crossings:
         if crossing.position < c and np.any(crossing.jump.dw):
             G += form(crossing.balanced, crossing.jump.dw)

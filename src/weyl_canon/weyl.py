@@ -95,27 +95,6 @@ class TauSample:
     value: complex
 
 
-def _imag12_integrals(problem: Problem, x_from, x_to):
-    """(int Im q12_ac, int Im w12_ac) over (x_from, x_to), piece by
-    piece, as the real and imaginary part of one integral: from the
-    forms of q12 and w12 (``Piece.integrals``) on a piece where both
-    have one, and by quadrature of both at once elsewhere."""
-    q_entries = problem.q.density_entries
-    w_entries = problem.w.density_entries
-
-    def integrand(t):
-        return complex(q_entries(t)[1].imag, w_entries(t)[1].imag)
-
-    def exact(piece, lo, hi):
-        pair = piece.integrals(lo, hi, (1, 4))
-        return None if pair is None else complex(pair[0].imag, pair[1].imag)
-
-    total = problem.integrate(integrand, x_from, x_to,
-                              epsabs=1e-13, epsrel=1e-12, limit=200,
-                              piece_integral=exact)
-    return total.real, total.imag
-
-
 def _tau_factor(iq, iw, lam, x):
     """exp(2i (iq - lam iw)); an overflow is the blow-up of det U at x."""
     try:
@@ -143,37 +122,37 @@ def tau_profile(problem: Problem, lam, xs):
 
 
 def _tau_profiles(problem: Problem, lams, xs):
-    """``tau_profile`` at each of ``lams`` over the same points: the
-    lam-independent integrals of Im q12 and Im w12 are formed once, gap
-    by gap, and each lam applies its own atom product and exponential."""
+    """``tau_profile`` at each of ``lams`` over the same points: one
+    ``Problem.integrate`` pass gives int Im q12_ac + i int Im w12_ac at
+    every point, from the forms of q12 and w12 (``Piece.integrals``) or one
+    quadrature, and each lam applies its own atom product and exponential."""
     lams = [complex(lam) for lam in lams]
     for lam in lams:
         if not cmath.isfinite(lam):
             raise ValueError(f"lam={lam} is not finite")
     xs = [float(x) for x in xs]
-    if xs != sorted(xs):
-        raise ValueError("xs must be sorted increasingly")
     if xs and not (0.0 <= xs[0] and xs[-1] < problem.b):
         raise ValueError(f"xs={xs} outside [0, {problem.b})")
-    integrals = []
-    iq = iw = 0.0
-    for prev, x in zip([0.0] + xs, xs):
-        dq_, dw_ = _imag12_integrals(problem, prev, x)
-        iq += dq_
-        iw += dw_
-        integrals.append((iq, iw))
+    def exact(piece, lo, hi):
+        pair = piece.integrals(lo, hi, (1, 4))
+        return None if pair is None else complex(pair[0].imag, pair[1].imag)
+
+    integrals = problem.integrate(
+        lambda t: complex(problem.q.density_entries(t)[1].imag,
+                          problem.w.density_entries(t)[1].imag),
+        xs, 1e-13, 1e-12, 200, exact)
     profiles = []
     for lam in lams:
         samples = []
         pending = list(atom_jumps(problem, lam).values())
         product = complex(1.0)
-        for x, (iq, iw) in zip(xs, integrals):
+        for x, total in zip(xs, integrals):
             while pending and pending[0].position < x:
                 jp = pending.pop(0)
                 if jp.plus_singular:
                     raise BadPointError(bad_points(problem, lam))
                 product *= jp.det_minus / jp.det_plus
-            factor = _tau_factor(iq, iw, lam, x)
+            factor = _tau_factor(total.real, total.imag, lam, x)
             samples.append(TauSample(x, lam, product, factor, product * factor))
         profiles.append(samples)
     return profiles
@@ -236,9 +215,12 @@ def solution_norm_sq(fm: FundamentalMatrix, c, column, method="lagrange") -> flo
     return norm_quadrature(fm.problem, sol, c).value
 
 
-def null_norm_tolerance(problem: Problem, c) -> float:
-    """Scale-aware cutoff below which a truncated norm counts as zero."""
-    return 1e-10 * (1.0 + problem.w_mass(c))
+def null_norm_tolerance(problem: Problem, c):
+    """Scale-aware cutoff below which a truncated norm counts as zero,
+    1e-10 (1 + ``Problem.w_mass``), at one c or elementwise over an
+    increasing array of them from one prefix pass."""
+    tol = 1e-10 * (1.0 + problem.w_mass(np.atleast_1d(c).tolist()))
+    return tol if np.ndim(c) else float(tol[0])
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import weyl_canon.weyl
 from weyl_canon.classify import (
     ClassifyConfig,
     all_solutions_l2,
+    classify_norm_growth,
     default_c_grid,
     deficiency_indices,
     definiteness,
@@ -32,6 +33,7 @@ from weyl_canon.weyl import (
 )
 
 from conftest import (
+    count_calls,
     pick_lambda_outside_bad_set,
     random_piecewise_problem,
     rel_err,
@@ -666,3 +668,32 @@ def test_halfplane_traces_match_the_per_point_loop(lam):
     p = halfplane_problem()
     assert_matches_reference(p, lam, default_c_grid(p))
     assert not trace_disks(p, lam).disk_points()
+
+
+# -- cutoffs and growth exponents ----------------------------------------------
+
+def test_deficiency_indices_forms_the_cutoffs_in_one_pass(monkeypatch):
+    # the trace's cutoffs and the norm classes' last one come from one
+    # w_mass pass over the grid, not a restart per point and per class
+    p = builtin_example("lesch_malamud", a=1.0)[0]
+    calls = count_calls(monkeypatch, Problem, "w_mass")
+    report = deficiency_indices(p, 1j)
+    assert len(calls) == 1
+    assert (report.n_plus, report.n_minus, report.inconclusive) == (2, 1, False)
+
+
+def test_growth_exponent_is_the_least_squares_slope(rng, monkeypatch):
+    cs = np.geomspace(1.0, 30.0, 24)
+    tails = [np.exp(rng.uniform(-2.0, 2.0) * cs + rng.normal(0.0, 0.1, cs.size))
+             for _ in range(20)]
+    tails += [np.full(cs.size, v) + rng.normal(0.0, 1e-15, cs.size) for v in (1.0, 2.5)]
+    tail = slice(cs.size // 2, None)
+    fits = [np.polyfit(cs[tail], np.log(values[tail]), 1)[0] for values in tails]
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the slope needs no least-squares solver")
+
+    monkeypatch.setattr(np, "polyfit", no_fit)
+    for values, fit in zip(tails, fits):
+        _, info = classify_norm_growth(cs, values, 0.0)
+        assert info["growthExponent"] == pytest.approx(fit, rel=1e-12, abs=1e-15)

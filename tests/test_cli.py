@@ -13,6 +13,8 @@ import weyl_canon
 from weyl_canon.catalog import builtin_example
 from weyl_canon.classify import default_c_grid, deficiency_indices
 from weyl_canon.cli import main, parse_lambda
+from weyl_canon.errors import SchemaError
+from weyl_canon.measures import parse_problem
 from weyl_canon.weyl import tau_profile
 
 from conftest import count_calls
@@ -66,6 +68,28 @@ def test_validate_non_finite_breakpoint_exit_2(runner, tmp_path):
     path = tmp_path / "p.json"
     path.write_text('{"b": 2, "alpha": 0, "q": {"breakpoints": [NaN, Infinity]}, '
                     '"w": {"d11": "1", "d22": "1"}}')
+    result = invoke(runner, ["validate", "--problem", str(path)])
+    assert result.exit_code == 2
+
+
+# every place a problem document holds a number, as the fields it replaces
+NUMBER_PLACES = {
+    "b": lambda v: {"b": v},
+    "alpha": lambda v: {"alpha": v},
+    "atom position": lambda v: {"q": {"atoms": [{"x": v, "m": [[0, 0]] * 4}]}},
+    "atom matrix": lambda v: {"q": {"atoms": [{"x": 1, "m": [[v, 0]] + [[0, 0]] * 3}]}},
+    "breakpoint": lambda v: {"q": {"breakpoints": [v]}},
+}
+
+
+@pytest.mark.parametrize("value", [True, "3"])
+@pytest.mark.parametrize("place", NUMBER_PLACES)
+def test_booleans_and_strings_are_not_numbers(runner, tmp_path, place, value):
+    doc = dict(json.loads(VALID_DOC), **NUMBER_PLACES[place](value))
+    with pytest.raises(SchemaError, match="expected a number"):
+        parse_problem(doc)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
     result = invoke(runner, ["validate", "--problem", str(path)])
     assert result.exit_code == 2
 
@@ -227,13 +251,13 @@ def test_tau_csv(runner):
 
 
 def test_tau_integrates_once_for_several_lambda(runner, monkeypatch):
-    calls = count_calls(monkeypatch, weyl_canon.weyl, "_imag12_integrals")
+    calls = count_calls(monkeypatch, weyl_canon.measures.Problem, "integrate")
     result = invoke(runner, ["tau", "--example", "lesch_malamud(a=1)",
                              "--lambda", "i", "--lambda", "0.5-i",
                              "--format", "json"])
     assert result.exit_code == 0
-    # one integral per gap of the 24-point grid, shared by both lambda
-    assert len(calls) == 24
+    # one prefix pass over the 24-point grid, shared by both lambda
+    assert len(calls) == 1
     problem, _ = builtin_example("lesch_malamud", a=1.0)
     grid = default_c_grid(problem)
     expected = [{"lambda": [lam.real, lam.imag],

@@ -189,11 +189,17 @@ def test_integrate_sums_one_quadrature_per_piece():
         calls.append(x)
         return 1.0 + x * (x > 0.3)
 
-    got = p.integrate(f, 0.1, 2.9, epsabs=1e-13, epsrel=1e-12, limit=50)
-    assert got == pytest.approx(0.2 + 2.6 + (2.9 ** 2 - 0.3 ** 2) / 2, rel=1e-13)
-    # three pieces meet (0.1, 2.9), one 21-point rule on each
-    assert len(calls) == 63
-    assert p.integrate(f, 0.5, 0.5, epsabs=1e-13, epsrel=1e-12, limit=50) == 0
+    got = p.integrate(f, [0.1, 2.9], epsabs=1e-13, epsrel=1e-12, limit=50)
+    assert got == pytest.approx([0.1, 0.1 + 0.2 + 2.6 + (2.9 ** 2 - 0.3 ** 2) / 2],
+                                rel=1e-13)
+    # (0, 0.1) lies in one piece and three pieces meet (0.1, 2.9), one
+    # 21-point rule on each span
+    assert len(calls) == 84
+    # an empty gap adds nothing, and the points must not decrease
+    first, second = p.integrate(f, [0.5, 0.5], epsabs=1e-13, epsrel=1e-12, limit=50)
+    assert first == second == pytest.approx(0.5 + (0.5 ** 2 - 0.3 ** 2) / 2, rel=1e-13)
+    with pytest.raises(ValueError, match="increase"):
+        p.integrate(f, [2.0, 1.0], epsabs=1e-13, epsrel=1e-12, limit=50)
 
 
 def test_spans_clip_the_pieces_to_the_range_left_to_right():
@@ -241,10 +247,11 @@ def test_integrate_runs_quadrature_only_where_the_piece_integral_is_unknown():
         d11 = piece.values[3]
         return None if d11 is None else d11.real * (hi - lo)
 
-    got = p.integrate(f, 0.1, 2.9, epsabs=1e-13, epsrel=1e-12, limit=50,
+    got = p.integrate(f, [0.1, 2.9], epsabs=1e-13, epsrel=1e-12, limit=50,
                       piece_integral=known)
-    assert got == pytest.approx(0.2 + 2.6 + (2.9 ** 2 - 0.3 ** 2) / 2, rel=1e-13)
-    assert asked == [(0.1, 0.3), (0.3, 2.75), (2.75, 2.9)]
+    assert got == pytest.approx([0.1, 0.1 + 0.2 + 2.6 + (2.9 ** 2 - 0.3 ** 2) / 2],
+                                rel=1e-13)
+    assert asked == [(0.0, 0.1), (0.1, 0.3), (0.3, 2.75), (2.75, 2.9)]
     # only the x-dependent pieces (0.3, 2.75) and (2.75, 2.9) are sampled
     assert len(calls) == 42 and min(calls) > 0.3
 
@@ -396,11 +403,12 @@ def test_w_mass_closed_form_at_undeclared_step():
     def antiderivative(u):   # of sqrt(u^2 + 1)
         return 0.5 * (u * math.sqrt(u * u + 1.0) + math.asinh(u))
 
-    for c in (0.2, 0.3, 0.7, 2.5, 2.9):
+    cs = (0.2, 0.3, 0.7, 2.5, 2.9)
+    for c, got in zip(cs, p.w_mass(cs), strict=True):
         want = math.sqrt(2.0) * min(c, 0.3) + (1.0 if c > 2.75 else 0.0)
         if c > 0.3:
             want += antiderivative(1.0 + c) - antiderivative(1.3)
-        assert p.w_mass(c) == pytest.approx(want, rel=1e-12, abs=0.0), c
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), c
 
 
 def test_problem_repr_and_json():
@@ -447,6 +455,12 @@ MALFORMED_FIELDS = {
 def test_malformed_atom_and_breakpoint_fields_are_schema_errors(fields):
     doc = {"b": 2, "alpha": 0, "q": fields, "w": {"d11": "1", "d22": "1"}}
     with pytest.raises(SchemaError, match=r"q\.(atoms|breakpoints)"):
+        parse_problem(doc)
+
+
+def test_an_integer_beyond_the_float_range_is_a_schema_error():
+    doc = '{"b": 1%s, "alpha": 0, "w": {"d11": "1", "d22": "1"}}' % ("0" * 400)
+    with pytest.raises(SchemaError, match="float range"):
         parse_problem(doc)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import weyl_canon.measures as measures_module
-from weyl_canon.catalog import builtin_example
+from weyl_canon.catalog import builtin_example, catalog_names
 from weyl_canon.classify import default_c_grid
 from weyl_canon.errors import (
     DegenerateHalfPlaneError,
@@ -15,6 +15,7 @@ from weyl_canon.errors import (
 )
 from weyl_canon.measures import CoefficientMeasure, Problem
 from weyl_canon.propagation import FundamentalMatrix, fundamental_matrix, kernel_gram
+from weyl_canon.quadrature import integrate
 from weyl_canon.weyl import (
     M_INFINITY,
     WeylDisk,
@@ -24,6 +25,7 @@ from weyl_canon.weyl import (
     m_from_boundary,
     norm_lagrange,
     norm_quadrature,
+    null_norm_tolerance,
     radius_identity_residual,
     solution_norm_sq,
     tau,
@@ -502,3 +504,53 @@ def test_norm_quadrature_sums_the_atom_terms_of_the_crossings(c):
         assert norm_quadrature(p, sol, c).value == pytest.approx(want, rel=1e-14, abs=0.0)
     if c < 2.0:
         assert norm_quadrature(p, fm.column(1), c).value == 0.0
+
+
+# -- zero-norm cutoffs ----------------------------------------------------------
+
+def restarted_cutoff(problem, c):
+    """The cutoff at c summed afresh from 0: one quadrature of |w|_F on
+    each span of (0, c), as ``CoefficientMeasure.mass`` runs it, plus
+    |Delta_w|_F of each atom below c."""
+    total = sum(float(np.linalg.norm(a.matrix)) for a in problem.w.atoms if a.position < c)
+    for _, lo, hi in problem.spans(0.0, c):
+        total += integrate(lambda x: np.linalg.norm(problem.w.density(x)), lo, hi,
+                           limit=100)[0]
+    return 1e-10 * (1.0 + total)
+
+
+def test_cutoffs_over_a_grid_match_a_restart_from_zero_at_each_point(rng):
+    problems = [(builtin_example(name)[0], None) for name in catalog_names()]
+    problems.append((builtin_example("lesch_malamud", a=1.0)[0], None))
+    problems.append((Problem(3.0, 0.0, CoefficientMeasure(),
+                             CoefficientMeasure(d11="1+x*step(x-0.3)", d22="1",
+                                                atoms=[(2.75, np.diag([0.6, 0.8]))])),
+                     np.linspace(0.2, 2.9, 10)))
+    problems += [(random_piecewise_problem(rng), np.geomspace(0.25, 5.0, 12))
+                 for _ in range(8)]
+    for problem, grid in problems:
+        grid = default_c_grid(problem) if grid is None else grid
+        got = null_norm_tolerance(problem, grid)
+        want = [restarted_cutoff(problem, c) for c in grid]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), problem
+        assert null_norm_tolerance(problem, grid[-1]) == pytest.approx(want[-1], rel=1e-13)
+
+
+def test_cutoffs_quadrature_each_grid_gap_once(monkeypatch):
+    # a fresh problem, so that no memo hides a quadrature
+    problem = builtin_example("lesch_malamud", a=1.0)[0]
+    grid = default_c_grid(problem)
+    asked = []
+    mass = CoefficientMeasure.mass
+
+    def recorded(self, a, b):
+        asked.append((a, b))
+        return mass(self, a, b)
+
+    monkeypatch.setattr(CoefficientMeasure, "mass", recorded)
+    null_norm_tolerance(problem, grid)
+    assert asked == list(zip([0.0, *grid[:-1]], grid))
+    # the same gaps again, as for a second lam: the memo runs no quadrature
+    quadratures = count_calls(monkeypatch, measures_module, "integrate")
+    null_norm_tolerance(problem, grid)
+    assert quadratures == []
