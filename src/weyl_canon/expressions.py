@@ -17,8 +17,10 @@ exactly: ``step_roots`` finds the jumps of steps with affine arguments,
 them, and ``shared_affine`` writes each of several such forms as
 alpha + beta E with one shared AST node E where its structure allows it.
 One walker folds: ``fold_steps`` reads each step's line as it folds,
-while ``Problem`` reads an entry's lines once and folds a piece from the
-values its steps take there.
+while ``Problem`` reads an entry's lines once, in one bottom-up pass,
+and folds a piece from the values its steps take there.  The fold also
+returns the value of a folded AST without x, formed by the evaluator's
+own operations, so a constant piece needs no second walk.
 
 ``parse_expr`` builds an AST, ``eval_expr`` evaluates it at a real x
 with full domain checking, and ``compile_expr`` turns it into a plain
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -262,6 +265,9 @@ _FUNC_IMPL = {
     "step": _step,
 }
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
 
 def _eval(node, x):
     if isinstance(node, Literal):
@@ -273,17 +279,7 @@ def _eval(node, x):
     if isinstance(node, Unary):
         return -_eval(node.operand, x)
     if isinstance(node, BinOp):
-        a = _eval(node.left, x)
-        b = _eval(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a ** b
+        return _BINARY[node.op](_eval(node.left, x), _eval(node.right, x))
     return _FUNC_IMPL[node.func](_eval(node.arg, x))
 
 
@@ -315,13 +311,6 @@ def _children(node):
     if isinstance(node, Call):
         return (node.arg,)
     return ()
-
-
-def _walk(expr):
-    """Every node of the AST, parents first."""
-    yield expr
-    for child in _children(expr):
-        yield from _walk(child)
 
 
 def has_variable(expr: Expr) -> bool:
@@ -405,9 +394,21 @@ def _step_line(node):
 def _step_lines(expr):
     """({id(node): (a, b)}, affine): every step of the AST with x whose
     argument is the real line a*x + b before folding, and whether every
-    step with x is one.  The one reading of an AST's steps."""
-    lines = {id(n): _step_line(n) for n in _walk(expr)
-             if isinstance(n, Call) and n.func == "step" and has_variable(n)}
+    step with x is one.  The one reading of an AST's steps, in one
+    bottom-up pass that learns which nodes hold x."""
+    lines = {}
+
+    def visit(node):    # True when x occurs in node
+        if isinstance(node, BinOp):
+            return visit(node.left) | visit(node.right)
+        if isinstance(node, Unary):
+            return visit(node.operand)
+        found = isinstance(node, Call) and visit(node.arg)
+        if found and node.func == "step":
+            lines[id(node)] = _step_line(node)
+        return found or isinstance(node, Variable)
+
+    visit(expr)
     return {k: ab for k, ab in lines.items() if ab}, None not in lines.values()
 
 
@@ -454,29 +455,40 @@ def _is_zero(node) -> bool:
 
 
 def _fold(expr, lo, hi, values=None):
-    """The one fold walker: ``fold_steps`` for values None; otherwise
-    each step takes the value that ``values`` maps its node's id to, and
-    is not read again, or stays where values has none."""
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _fold(expr.operand, lo, hi, values))
+    """The one fold walker: the folded AST, itself where nothing changes,
+    and its value by ``_eval``'s operations where it has no x and they
+    succeed, else None.  ``fold_steps`` for values None; otherwise each
+    step takes the value that ``values`` maps its node's id to, unread,
+    or stays where it has none."""
     if isinstance(expr, BinOp):
-        left = _fold(expr.left, lo, hi, values)
-        right = _fold(expr.right, lo, hi, values)
+        left, a = _fold(expr.left, lo, hi, values)
+        right, b = _fold(expr.right, lo, hi, values)
         if expr.op == "*" and ((_is_zero(left) and _defined_everywhere(right))
                                or (_is_zero(right) and _defined_everywhere(left))):
-            return Literal(0j)
-        return BinOp(expr.op, left, right)
-    if not isinstance(expr, Call):
-        return expr
-    node = Call(expr.func, _fold(expr.arg, lo, hi, values))
-    if node.func != "step":
-        return node
-    if values is not None:
-        value = values.get(id(expr))
+            return Literal(0j), 0j
+        if left is not expr.left or right is not expr.right:
+            expr = BinOp(expr.op, left, right)
+        op, args = _BINARY[expr.op], (a, b)
+    elif isinstance(expr, Unary):
+        operand, v = _fold(expr.operand, lo, hi, values)
+        expr = expr if operand is expr.operand else Unary(expr.op, operand)
+        op, args = operator.neg, (v,)
+    elif isinstance(expr, Call):
+        value = None if values is None else values.get(id(expr))
+        if value is None:
+            arg, v = _fold(expr.arg, lo, hi, values)
+            expr = expr if arg is expr.arg else Call(expr.func, arg)
+            line = _step_line(expr) if values is None and has_variable(expr) else None
+            value = None if line is None else _step_value(*line, lo, hi)
+        if value is not None:
+            return Literal(complex(value)), complex(value)
+        op, args = _FUNC_IMPL[expr.func], (v,)
     else:
-        line = _step_line(node)
-        value = None if line is None or not has_variable(node) else _step_value(*line, lo, hi)
-    return node if value is None else Literal(complex(value))
+        return expr, _eval(expr, None)      # None for x itself
+    try:     # an error that eval_expr reports leaves no value
+        return expr, None if None in args else op(*args)
+    except (ExpressionDomainError, ZeroDivisionError, ValueError, OverflowError):
+        return expr, None
 
 
 def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:
@@ -487,7 +499,7 @@ def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:
     product with a literal 0 factor becomes 0 when the other factor is
     defined at every real x, so no domain error (``0*log(x-5)``) is
     folded away."""
-    return _fold(expr, lo, hi)
+    return _fold(expr, lo, hi)[0]
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ of each span of a c-grid's gaps), and safe to share between threads.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -312,9 +313,10 @@ class Problem:
     q must be Hermitian (structural) with real diagonal densities, w
     must be positive semi-definite and not identically zero: exactly on
     every piece where both densities are constant, on a sample grid on
-    the others, and at every atom.  All density entries must be
-    integrable near the regular endpoint 0 (checked by quadrature unless
-    the entry is constant on the first piece).
+    the others (built only when some piece varies), and at every atom.
+    All density entries must be integrable near the regular endpoint 0
+    (checked by quadrature unless the entry is constant on the first
+    piece).
 
     ``atom_table`` maps each atom position in (0, b), left to right, to
     its read-only (Delta_q, Delta_w), zero on a side without an atom.
@@ -358,25 +360,30 @@ class Problem:
     def _build_pieces(self, entries, walks):
         """A piece keys each entry by the values of its steps (``walks``)
         there, or by (lo, hi) where they are not all affine before
-        folding; pieces with equal keys share one fold, form and f."""
+        folding; pieces with equal keys share one fold, form and f.  The
+        fold gives the constant entries, ``shared_affine`` the others."""
         cuts = list(self.discontinuities)
         built, pieces = {}, []
         for lo, hi in zip([0.0] + cuts, cuts + [self.b]):
             key = tuple(tuple(_step_value(a, b, lo, hi) for a, b in lines.values())
                         if affine else (lo, hi) for lines, affine in walks)
             if key not in built:
-                folded = [_fold(e, lo, hi, dict(zip(lines, k)) if affine else None)
-                          for e, (lines, affine), k in zip(entries, walks, key)]
-                node, forms = shared_affine(folded)
-                values = []
-                for label, expr, form in zip(_ENTRY_LABELS, folded, forms):
-                    if form is None and not has_variable(expr):
-                        try:     # a constant without a form does not evaluate
+                folded, values = zip(*[
+                    _fold(e, lo, hi, dict(zip(lines, k)) if affine else None)
+                    for e, (lines, affine), k in zip(entries, walks, key)])
+                values = [None if v is None or not cmath.isfinite(v) else complex(v)
+                          for v in values]
+                for label, expr, v in zip(_ENTRY_LABELS, folded, values):
+                    if v is None and not has_variable(expr):
+                        try:     # a constant without a value does not evaluate
                             eval_expr(expr, lo)
                         except ExpressionDomainError as exc:
                             raise ValidationError(
                                 f"{label} on ({lo:.6g}, {hi:.6g}): {exc}") from None
-                    values.append(None if form is None or form[1] else form[0])
+                node, forms = None, tuple((v, 0j) for v in values)
+                if None in values:
+                    node, forms = shared_affine(folded)
+                    values = [None if f is None or f[1] else f[0] for f in forms]
                 f = None if node is None else compile_expr(node)
                 built[key] = (tuple(values), forms, node, f)
             pieces.append(Piece(lo, hi, *built[key]))
@@ -459,7 +466,7 @@ class Problem:
                     raise ValidationError(f"{label}: {exc}") from None
             return f"at x={x:.6g}", values
 
-        grid = self._sample_grid()
+        grid = None if all(p.constant for p in self.pieces) else self._sample_grid()
         nonzero = any(np.any(a.matrix) for a in self.w.atoms)
         checked = set()     # the constant values tuples that passed
         for piece in self.pieces:
@@ -702,6 +709,8 @@ def parse_problem(document) -> Problem:
         raise SchemaError("keys 'b' and 'alpha' are required")
 
     b = math.inf if document["b"] == "inf" else _number(document["b"], "b (or \"inf\")")
+    if not (math.isfinite(b) or document["b"] == "inf"):
+        raise SchemaError(f"b: expected a finite number or \"inf\", got {b}")
     alpha = _number(document["alpha"], "alpha")
     q = _parse_measure(document.get("q"), "q")
     w = _parse_measure(document.get("w"), "w")

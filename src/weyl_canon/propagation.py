@@ -123,7 +123,7 @@ class JumpPair:
     lam: complex
     position: float | None = None
 
-    @property
+    @functools.cached_property
     def singular_tol(self) -> float:
         scale = 1.0 + np.linalg.norm(self.dq) + abs(self.lam) * np.linalg.norm(self.dw)
         return SINGULAR_TOL * scale * scale

@@ -72,6 +72,14 @@ def test_validate_non_finite_breakpoint_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_validate_overflowing_b_exit_2(runner, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"b": 1e400, "alpha": 0, "w": {"d11": "1", "d22": "1"}}')
+    result = invoke(runner, ["validate", "--problem", str(path)])
+    assert result.exit_code == 2
+    assert "finite" in result.output
+
+
 # every place a problem document holds a number, as the fields it replaces
 NUMBER_PLACES = {
     "b": lambda v: {"b": v},

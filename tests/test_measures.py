@@ -464,6 +464,14 @@ def test_an_integer_beyond_the_float_range_is_a_schema_error():
         parse_problem(doc)
 
 
+@pytest.mark.parametrize("b", ["1e400", "Infinity", "-Infinity", "NaN"])
+def test_a_non_finite_numeric_b_is_a_schema_error(b):
+    doc = '{"b": %s, "alpha": 0, "w": {"d11": "1", "d22": "1"}}' % b
+    with pytest.raises(SchemaError, match="^b: expected a finite number or \"inf\""):
+        parse_problem(doc)
+    assert parse_problem(doc.replace(b, '"inf"')).b == math.inf
+
+
 @pytest.mark.parametrize("side, entry", [("q", [math.nan, 0]), ("w", [math.inf, 0])])
 def test_non_finite_atoms_are_refused(side, entry):
     doc = {"b": 2, "alpha": 0, "q": {}, "w": {"d11": "1", "d22": "1"}}

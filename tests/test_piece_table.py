@@ -10,6 +10,7 @@ import pytest
 
 import weyl_canon.measures as measures
 from weyl_canon.expressions import fold_steps, shared_affine
+from weyl_canon.errors import ValidationError
 from weyl_canon.measures import CoefficientMeasure, Problem, parse_problem
 
 from conftest import count_calls
@@ -33,7 +34,8 @@ def assert_reference_table(problem):
     for piece in problem.pieces:
         node, forms = shared_affine([fold_steps(e, piece.lo, piece.hi) for e in entries])
         values = tuple(None if f is None or f[1] else f[0] for f in forms)
-        assert (piece.values, piece.forms, piece.node) == (values, forms, node), piece
+        # repr tells -0.0 from 0.0 and a complex from a float, == does not
+        assert repr((piece.values, piece.forms, piece.node)) == repr((values, forms, node))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -59,6 +61,30 @@ def test_piece_table_of_steps_that_fold_per_piece(b, w12):
     assert_reference_table(problem)
 
 
+@pytest.mark.parametrize("d11", [
+    "-0.5*step(x-1)",               # 0j on (0, 1) by the zero-product rule
+    "(-3)*step(x-1)*0",
+    "i*step(x-1)-i*step(x-1)",
+])
+def test_piece_table_of_zero_products_and_cancellations(d11):
+    problem = Problem(5.0, 0.0, CoefficientMeasure(d11=d11),
+                      CoefficientMeasure(d11="1", d22="1"))
+    assert_reference_table(problem)
+    assert problem.pieces[0].values[0] == 0j
+
+
+@pytest.mark.parametrize("d11, error", [
+    ("1e308*10*step(x-1)", "q.d11 on (1, 5): non-finite value (inf+nanj) at x=1.0"),
+    ("(1/0)*step(x-1)", "q.d11 on (0, 1): division by zero at x=0.0"),
+    ("step(x-1)*log(0-step(x-2))", "q.d11 on (0, 1): log of non-positive real 0.0"),
+])
+def test_a_constant_piece_that_does_not_evaluate_is_refused(d11, error):
+    with pytest.raises(ValidationError) as excinfo:
+        Problem(5.0, 0.0, CoefficientMeasure(d11=d11),
+                CoefficientMeasure(d11="1", d22="1"), validate=False)
+    assert str(excinfo.value) == error
+
+
 def test_piece_table_is_built_once_per_sign_pattern(monkeypatch):
     # two step roots and three atoms: 6 pieces, 3 sign patterns
     doc = {"b": 8, "alpha": 0.5,
@@ -67,13 +93,15 @@ def test_piece_table_is_built_once_per_sign_pattern(monkeypatch):
                            {"x": 4.0, "m": [[0, 0], [0, 1], [0, -1], [0, 0]]}]},
            "w": {"d11": "2-step(x-1)", "d22": "1",
                  "atoms": [{"x": 2.0, "m": [[1, 0], [0, 0], [0, 0], [1, 0]]}]}}
-    forms = count_calls(monkeypatch, measures, "shared_affine")
+    folds = count_calls(monkeypatch, measures, "_fold")
     compiled = [count_calls(monkeypatch, measures, name)
                 for name in ("compile_tuple", "compile_expr")]
+    grids = count_calls(monkeypatch, Problem, "_sample_grid")
     problem = parse_problem(json.dumps(doc))
     assert len(problem.pieces) == 6
     assert len({p.values for p in problem.pieces}) == 3
-    assert len(forms) == 3
-    # a piecewise-constant problem compiles nothing while it is parsed
+    assert len(folds) == 6 * 3      # each entry once per sign pattern
+    # a piecewise-constant problem compiles nothing and samples nothing
     assert compiled == [[], []]
+    assert grids == []
     assert_reference_table(problem)

@@ -65,6 +65,18 @@ def test_bad_point_minus_determinants():
     assert jp.minus_singular and not jp.plus_singular
 
 
+def test_singular_tol_is_formed_once_per_pair(monkeypatch):
+    dq, dw, lam = DQ_MINUS, DW_ATOM, 0.5 + 1j
+    scale = 1.0 + np.linalg.norm(dq) + abs(lam) * np.linalg.norm(dw)
+    jp = jump_matrices(dq, dw, lam)
+    norms = count_calls(monkeypatch, np.linalg, "norm")
+    for _ in range(3):
+        assert not (jp.minus_singular or jp.plus_singular)
+        jp.transfer_matrix()
+        assert jp.singular_tol == 1e-12 * scale * scale
+    assert len(norms) <= 2
+
+
 def test_both_singular_real_traceless_jump():
     dq = np.array([[2, 0], [0, -2]], dtype=complex)
     jp = jump_matrices(dq, ZERO, 0.3 + 1.7j)
