@@ -19,8 +19,9 @@ Every trace propagates in the upper half plane only.  For real U(0)
 the Lagrange identity gives U(c, conj lam) = tau(c, conj lam)
 conj(U(c, lam)), so a trace below the real axis is read off the
 propagation at conj(lam) and a tau profile, and ``deficiency_indices``
-builds both of its traces from one propagation and one tau profile
-call.  Each trace is one array pass over its grid.
+builds both of its traces from one propagation, one more reading of the
+atoms and one tau profile call.  Each trace is one array pass over its
+grid.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .weyl import (
     _lagrange,
     _tau_profiles,
     _weyl_sets,
-    conjugate_fundamental,
     null_norm_tolerance,
 )
 
@@ -93,7 +93,9 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
     so every c is a continuity point.  Raises ValueError unless
     0 < c0 < b, rho (when given) is finite and above 1, and c_max (when
     given, or always for an infinite b) is above c0 and keeps a grid
-    point; for an infinite b it must also be finite.
+    point; for an infinite b it must also be finite.  For a finite b,
+    count and rho must keep the grid strictly increasing below b in
+    double precision, or ValueError names them.
     """
     count = 24 if count is None else int(count)
     if count < 1:
@@ -111,6 +113,11 @@ def default_c_grid(problem: Problem, c0=None, rho=None, count=None,
             grid = grid[grid <= float(c_max)]
             if not (c0 < float(c_max) and grid.size):
                 raise ValueError(f"c_max={c_max} must be greater than c0={c0}")
+        if not (grid[-1] < problem.b and np.all(np.diff(grid) > 0)):
+            raise ValueError(
+                f"count={count} and rho={rho} do not keep the grid strictly "
+                f"increasing below b={problem.b} in double precision; lower "
+                "count or rho")
     else:
         c_max = 30.0 if c_max is None else float(c_max)
         if not c0 < c_max < math.inf:
@@ -216,35 +223,40 @@ def _traces(problem, lams, c_grid):
     """(disk trace, zero-norm cutoff at its last point) over ``c_grid``
     at each of ``lams``, all equal to lam_up or to its conjugate for one
     lam_up with Im lam_up > 0, from a single propagation at lam_up.
-    Checks every lam against Lambda first; conj(lam) lies in Lambda
-    exactly when lam does, since det B+-(conj lam) = conj det B-+(lam).
-    One ``_tau_profiles`` call gives every trace its tau, and each disk's
-    radius comes from it, and one ``null_norm_tolerance`` call the cutoffs.
-    U at all grid points (stored samples), both Lagrange norms and the
-    Weyl sets (``weyl._weyl_sets``) are arrays over the grid.  In grid
+    Checks the lams against Lambda in order, lam_up on its propagation's
+    report; conj(lam) lies in Lambda exactly when lam does, since
+    det B+-(conj lam) = conj det B-+(lam).  One ``_tau_profiles`` call on
+    the reports gives every trace its tau, and each disk's radius comes
+    from it, and one ``null_norm_tolerance`` call the cutoffs.  U at all
+    grid points (stored samples; tau conj(U) below), both Lagrange norms
+    and the Weyl sets (``weyl._weyl_sets``) are arrays over the grid.  In grid
     order, a non-finite norm raises NonRealResultError, and a disk whose
     denominator, also the psi norm's Lagrange numerator, is in the
     rounding noise of its products stops the trace; that point does not
     depend on the side, since the noise ratio is invariant under
     U -> t conj(U)."""
+    lam_up = complex(lams[0].real, abs(lams[0].imag))
+    reports = []
     for lam in lams:
         if lam.imag == 0.0:
             raise ValueError("trace_disks needs Im lam != 0")
-        report = bad_points(problem, lam)
-        if report.in_lambda_set:
-            raise BadPointError(report)
-
-    lam_up = complex(lams[0].real, abs(lams[0].imag))
-    fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
+        if lam == lam_up:
+            fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
+        reports.append(fm_up.report if lam == lam_up else bad_points(problem, lam))
+        if reports[-1].in_lambda_set:
+            raise BadPointError(reports[-1])
+    if lam_up not in lams:
+        fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
     tols = null_norm_tolerance(problem, c_grid)
     traces = []
-    for lam, taus in zip(lams, _tau_profiles(problem, lams, c_grid)):
-        fm = fm_up if lam == lam_up else conjugate_fundamental(fm_up, taus)
-        u = fm._samples_at(c_grid)
+    for lam, taus in zip(lams, _tau_profiles(problem, reports, c_grid)):
+        u, u0 = fm_up._samples_at(c_grid), fm_up.at(0.0)
+        if lam != lam_up:
+            u, u0 = np.array([t.value for t in taus])[:, None, None] * np.conj(u), np.conj(u0)
         with np.errstate(over="ignore", invalid="ignore"):
             # rows past the trace's stop are never used; a non-finite
             # row before it raises below.  Columns: phi, psi.
-            norms = (_lagrange(fm.at(0.0)) - _lagrange((u[:, 0], u[:, 1]))) / lam.imag
+            norms = (_lagrange(u0) - _lagrange((u[:, 0], u[:, 1]))) / lam.imag
         k = int(np.argmax(np.append(~np.isfinite(norms).all(axis=1), True)))
         entries = (u[:k, 0, 0], u[:k, 1, 0], u[:k, 0, 1], u[:k, 1, 1])
         sets = (_weyl_sets(lam, c_grid[:k], entries, norms[:k, 1], tols[:k],

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .measures import parse_problem
 from .oracle import OracleConfig, compare_propagators
+from .propagation import bad_points
 from .weyl import WeylDisk, _tau_profiles
 
 EXIT_OK = 0
@@ -266,7 +267,7 @@ def tau(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
         p = _load_problem(problem, example)
         grid = default_c_grid(p, c0=c0, rho=rho, count=count, c_max=cmax)
         lams = [parse_lambda(s) for s in lambdas]
-        profiles = _tau_profiles(p, lams, grid)
+        profiles = _tau_profiles(p, [bad_points(p, lam) for lam in lams], grid)
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import ClosedFormRecord
 from .measures import Problem
-from .propagation import FundamentalMatrix, _forward, fundamental_matrix
+from .propagation import FundamentalMatrix, _forward, bad_points, fundamental_matrix
 
 __all__ = [
     "OracleConfig",
@@ -124,7 +124,7 @@ def fixed_step_propagate(problem: Problem, lam, c,
             states.append(state)
         return np.array(states), None
 
-    return _forward(problem, lam, c, [] if grid is None else grid, solve)
+    return _forward(problem, bad_points(problem, lam), c, [] if grid is None else grid, solve)
 
 
 def closed_form_eval(record: ClosedFormRecord, quantity, *args):

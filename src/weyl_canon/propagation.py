@@ -26,13 +26,15 @@ B+ is invertible; B- singular merely collapses the solution space (the
 transfer has rank 1).  Balanced values (u- + u+)/2 are stored at every
 atom because the measure-theoretic solutions are balanced functions.
 
-One walker, ``_walk``, carries a vector or a matrix of columns between
-two points in either direction: a per-piece stepper over each of the
-``Problem.spans`` between them, the transfer B+^{-1} B- (forward) or
-B-^{-1} B+ (backward) at each atom strictly inside.  ``fundamental_matrix``,
-``eta_solution`` and ``evolve_ac`` run it with ``_solve_segment``, which
-picks one of the two for each piece, and the fixed-step oracle with its
-own stepper.
+A public call reads the atoms once for each lam it needs, by
+``bad_points``, and the walker, tau and the Lambda checks share that
+report.  One walker, ``_walk``, carries a vector or a matrix of columns
+between two points in either direction: a per-piece stepper over each of
+the ``Problem.spans`` between them, the report's transfer B+^{-1} B-
+(forward) or B-^{-1} B+ (backward) at each atom strictly inside.
+``fundamental_matrix``, ``eta_solution`` and ``evolve_ac`` run it with
+``_solve_segment``, which picks one of the two for each piece, and the
+fixed-step oracle with its own stepper.
 
 Everything here is a pure function of immutable inputs: propagations at
 distinct (lam, c) may run concurrently without coordination, while a
@@ -45,7 +47,7 @@ import bisect
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -65,7 +67,6 @@ __all__ = [
     "J",
     "JumpPair",
     "jump_matrices",
-    "atom_jumps",
     "BadPointReport",
     "bad_points",
     "transfer_across_atom",
@@ -161,26 +162,18 @@ def jump_matrices(dq, dw, lam, position=None) -> JumpPair:
                     dq, dw, lam, position)
 
 
-def atom_jumps(problem: Problem, lam) -> dict:
-    """{position: JumpPair} at lam for every atom of ``Problem.atom_table``,
-    left to right: the one reading of the atoms for the walker, tau, the
-    bad points and the conjugate route."""
-    lam = complex(lam)
-    return {x: jump_matrices(dq, dw, lam, x)
-            for x, (dq, dw) in problem.atom_table.items()}
-
-
 # --------------------------------------------------------------------------
 # bad points
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BadPointReport:
-    """Atoms at which B- or B+ is singular for this lambda: ``records``
-    holds their ``JumpPair``s, left to right."""
+    """The atoms at one lambda: ``jumps`` maps every atom to its
+    ``JumpPair``, ``records`` holds the singular ones, left to right."""
 
     lam: complex
     records: tuple
+    jumps: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def in_lambda_set(self) -> bool:
@@ -208,11 +201,12 @@ class BadPointReport:
 
 
 def bad_points(problem: Problem, lam) -> BadPointReport:
-    """The atoms of ``atom_jumps`` with a singular B- or B+; continuity
-    points always give B-+ = J and never contribute."""
-    records = tuple(jp for jp in atom_jumps(problem, lam).values()
-                    if jp.minus_singular or jp.plus_singular)
-    return BadPointReport(complex(lam), records)
+    """The one reading of the atoms at lam: every atom's pair, and those
+    with a singular B- or B+ (a continuity point has B-+ = J)."""
+    lam = complex(lam)
+    jumps = {x: jump_matrices(dq, dw, lam, x) for x, (dq, dw) in problem.atom_table.items()}
+    records = tuple(jp for jp in jumps.values() if jp.minus_singular or jp.plus_singular)
+    return BadPointReport(lam, records, jumps)
 
 
 def transfer_across_atom(u_minus, jump: JumpPair):
@@ -482,7 +476,7 @@ class _Segment(NamedTuple):
     dense: object   # callable x -> state flattened by columns, or None
 
 
-def _walk(problem, lam, x0, x1, state, solve, samples=frozenset()):
+def _walk(problem, jumps, x0, x1, state, solve, samples=frozenset()):
     """Carry ``state``, one solution vector or a matrix of solution
     columns, from x0 to x1 in either direction, both in [0, b].
 
@@ -491,16 +485,14 @@ def _walk(problem, lam, x0, x1, state, solve, samples=frozenset()):
     the state, flattened by columns, over one span (lo, hi) of ``piece``
     and returns (states at t_eval, dense callable or None); t_eval runs
     from lo through the ``samples`` strictly inside to hi.  At each atom
-    strictly between x0 and x1 the state is carried across by its
-    ``atom_jumps`` pair, B+^{-1} B- forward and B-^{-1} B+ backward; an
-    atom at x0 or x1 is not crossed.  Every value is checked to be
-    finite.  Returns (state at x1, {x: state} for the samples passed,
+    strictly between x0 and x1 the state is carried across by its pair in
+    ``jumps`` (``BadPointReport.jumps``), B+^{-1} B- forward and B-^{-1} B+
+    backward; an atom at x0 or x1 is not crossed.  Every value is finite.  Returns (state at x1, {x: state} for the samples passed,
     crossings, segments), the last two in walk order.
     """
     forward = x0 <= x1
     spans = list(problem.spans(min(x0, x1), max(x0, x1)))
     points = sorted(samples, reverse=not forward)
-    jumps = atom_jumps(problem, lam)
     shape = np.shape(state)
     found, crossings, segments = {}, [], []
     for piece, a, b in spans if forward else reversed(spans):
@@ -539,7 +531,7 @@ def evolve_ac(problem: Problem, lam, x0, x1, u0) -> np.ndarray:
     u = np.asarray(u0, dtype=complex)
     if x0 == x1:
         return u.copy()
-    return _walk(problem, lam, x0, x1, u, functools.partial(
+    return _walk(problem, {}, x0, x1, u, functools.partial(
         _solve_segment, problem, lam))[0]
 
 
@@ -574,12 +566,12 @@ class FundamentalMatrix:
     one-sided and balanced values at every crossed atom are stored in
     ``crossings``.  Columns: phi = U[:, 0], psi = U[:, 1].  A matrix
     without segments (``weyl.conjugate_fundamental``) evaluates at its
-    samples and crossings only.  ``in_lambda_set`` is True when some atom
-    has a singular B- or B+ at lam.
+    samples and crossings only.  ``report`` is ``bad_points`` at lam (read
+    here when not given); its ``in_lambda_set`` is the matrix's.
     """
 
     def __init__(self, problem, lam, c, xs, values, crossings, segments,
-                 in_lambda_set=False):
+                 report=None):
         self.problem = problem
         self.lam = complex(lam)
         self.alpha = problem.alpha
@@ -591,7 +583,8 @@ class FundamentalMatrix:
         self._segment_los = [s.lo for s in segments]
         self._atom_index = {cr.position: cr for cr in self.crossings}
         self._sample_index = {x: k for k, x in enumerate(self.xs)}
-        self.in_lambda_set = in_lambda_set
+        self.report = bad_points(problem, lam) if report is None else report
+        self.in_lambda_set = self.report.in_lambda_set
 
     # -- evaluation --------------------------------------------------------
 
@@ -663,23 +656,23 @@ def _require_continuity_point(problem, c):
         raise ValueError(f"c={c} is an atom position; pick a continuity point")
 
 
-def _forward(problem, lam, c, grid, solve) -> FundamentalMatrix:
+def _forward(problem, report, c, grid, solve) -> FundamentalMatrix:
     """U from rotation(alpha) at 0 to c by ``_walk`` with the per-piece
-    stepper ``solve``, sampled at 0, c and the points of ``grid`` in
-    [0, c] that are not atoms.  Raises BadPointError when some atom in
+    stepper ``solve`` and the jumps of ``report`` (``bad_points`` at lam),
+    sampled at 0, c and the points of ``grid`` in [0, c] that are not
+    atoms.  Raises BadPointError when some atom in
     (0, c) has a singular B+.  The fixed-step oracle reaches the walker
     through this function as well."""
     _require_continuity_point(problem, c)
-    report = bad_points(problem, lam)
     if report.forward_blocked_before(c):
         raise BadPointError(report)
     samples = {0.0, c} | {x for x in map(float, grid)
                           if 0.0 <= x <= c and x not in problem.atom_positions}
     _, found, crossings, segments = _walk(
-        problem, lam, 0.0, c, rotation(problem.alpha), solve, samples)
+        problem, report.jumps, 0.0, c, rotation(problem.alpha), solve, samples)
     xs = sorted(found)
-    return FundamentalMatrix(problem, lam, c, xs, [found[x] for x in xs],
-                             crossings, segments, report.in_lambda_set)
+    return FundamentalMatrix(problem, report.lam, c, xs, [found[x] for x in xs],
+                             crossings, segments, report)
 
 
 def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix:
@@ -690,12 +683,12 @@ def fundamental_matrix(problem: Problem, lam, c, grid=None) -> FundamentalMatrix
     forward transfer does not exist).  A singular B- alone is allowed:
     the propagation continues with a rank-1 transfer, the result is
     flagged by ``in_lambda_set`` and downstream Weyl-geometry layers
-    refuse to use it.
+    refuse to use it.  The result keeps the reading of the atoms.
     """
     lam = complex(lam)
     c = float(c)
     grid = [] if grid is None else list(grid)
-    return _forward(problem, lam, c, grid + list(problem.discontinuities),
+    return _forward(problem, bad_points(problem, lam), c, grid + list(problem.discontinuities),
                     functools.partial(_solve_segment, problem, lam))
 
 
@@ -707,7 +700,7 @@ def eta_solution(problem: Problem, lam, c, beta) -> np.ndarray:
     c = float(c)
     _require_continuity_point(problem, c)
     eta = np.array([-math.sin(beta), math.cos(beta)], dtype=complex)
-    return _walk(problem, lam, c, 0.0, eta,
+    return _walk(problem, bad_points(problem, lam).jumps, c, 0.0, eta,
                  functools.partial(_solve_segment, problem, lam))[0]
 
 
@@ -768,13 +761,17 @@ def _gram(fm, c, coeff=None) -> np.ndarray:
 def kernel_gram(problem: Problem, c_max) -> KernelGram:
     """G(c_max) of the lambda = 0 fundamental matrix by ``_gram``, made
     exactly Hermitian, with its eigen-decomposition.  At lambda = 0,
-    A = Jq, so the spans where q = 0 read U(.,0) once each."""
+    A = Jq, so the spans where q = 0 read U(.,0) once each.  Any bad
+    point at lambda = 0, blocking the sweep or not, is one refusal."""
     c_max = float(c_max)
-    report = bad_points(problem, 0.0)
-    if report.in_lambda_set:
-        raise BadPointError(report, "lambda=0 admits a bad point; the "
-                                    "kernel Gram matrix is not defined")
-    G = _gram(fundamental_matrix(problem, 0.0, c_max), c_max)
+    try:
+        fm = fundamental_matrix(problem, 0.0, c_max)
+        if fm.in_lambda_set:
+            raise BadPointError(fm.report)
+    except BadPointError as exc:
+        raise BadPointError(exc.report, "lambda=0 admits a bad point; the "
+                                        "kernel Gram matrix is not defined") from None
+    G = _gram(fm, c_max)
     G = 0.5 * (G + G.conj().T)
     eigenvalues, vectors = np.linalg.eigh(G)
     return KernelGram(G, c_max, eigenvalues, vectors)

@@ -48,7 +48,6 @@ from .propagation import (
     FundamentalMatrix,
     SampledSolution,
     _gram,
-    atom_jumps,
     bad_points,
     eta_solution,
     fundamental_matrix,
@@ -118,18 +117,18 @@ def tau(problem: Problem, lam, x) -> TauSample:
 def tau_profile(problem: Problem, lam, xs):
     """tau at several increasing x in [0, b), integrating each gap only
     once; lam must be finite.  The one-lam case of ``_tau_profiles``."""
-    return _tau_profiles(problem, [lam], xs)[0]
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam={lam} is not finite")
+    return _tau_profiles(problem, [bad_points(problem, lam)], xs)[0]
 
 
-def _tau_profiles(problem: Problem, lams, xs):
-    """``tau_profile`` at each of ``lams`` over the same points: one
-    ``Problem.integrate`` pass gives int Im q12_ac + i int Im w12_ac at
-    every point, from the forms of q12 and w12 (``Piece.integrals``) or one
-    quadrature, and each lam applies its own atom product and exponential."""
-    lams = [complex(lam) for lam in lams]
-    for lam in lams:
-        if not cmath.isfinite(lam):
-            raise ValueError(f"lam={lam} is not finite")
+def _tau_profiles(problem: Problem, reports, xs):
+    """``tau_profile`` at the lam of each of ``reports`` (``bad_points``
+    at a finite lam) over the same points: one ``Problem.integrate`` pass
+    gives int Im q12_ac + i int Im w12_ac at every point, from the forms of
+    q12 and w12 (``Piece.integrals``) or one quadrature, and each lam
+    applies its own exponential and the atom product of its report."""
     xs = [float(x) for x in xs]
     if xs and not (0.0 <= xs[0] and xs[-1] < problem.b):
         raise ValueError(f"xs={xs} outside [0, {problem.b})")
@@ -142,18 +141,18 @@ def _tau_profiles(problem: Problem, lams, xs):
                           problem.w.density_entries(t)[1].imag),
         xs, 1e-13, 1e-12, 200, exact)
     profiles = []
-    for lam in lams:
+    for report in reports:
         samples = []
-        pending = list(atom_jumps(problem, lam).values())
+        pending = list(report.jumps.values())
         product = complex(1.0)
         for x, total in zip(xs, integrals):
             while pending and pending[0].position < x:
                 jp = pending.pop(0)
                 if jp.plus_singular:
-                    raise BadPointError(bad_points(problem, lam))
+                    raise BadPointError(report)
                 product *= jp.det_minus / jp.det_plus
-            factor = _tau_factor(total.real, total.imag, lam, x)
-            samples.append(TauSample(x, lam, product, factor, product * factor))
+            factor = _tau_factor(total.real, total.imag, report.lam, x)
+            samples.append(TauSample(x, report.lam, product, factor, product * factor))
         profiles.append(samples)
     return profiles
 
@@ -458,9 +457,7 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
     at 0 and at these points only.
     """
     problem = fm.problem
-    lam_c = complex(fm.lam).conjugate()
-    report = bad_points(problem, lam_c)
-    jumps_c = atom_jumps(problem, lam_c)
+    report = bad_points(problem, complex(fm.lam).conjugate())
     crossed = {cr.position: cr for cr in fm.crossings}
     samples, crossings = [], []
     for t in taus:
@@ -469,7 +466,7 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
             if t.x > 0.0:
                 samples.append(t)
             continue
-        jp_c = jumps_c[t.x]
+        jp_c = report.jumps[t.x]
         if jp_c.plus_singular:
             raise BadPointError(report)
         left = t.value * np.conj(cr.left)
@@ -481,8 +478,7 @@ def conjugate_fundamental(fm: FundamentalMatrix, taus) -> FundamentalMatrix:
         np.conj(fm.at(0.0))[None],
         np.array([t.value for t in samples], dtype=complex)[:, None, None]
         * np.conj(fm._samples_at(xs[1:]))))
-    return FundamentalMatrix(problem, lam_c, fm.c, xs, values, crossings, (),
-                             report.in_lambda_set)
+    return FundamentalMatrix(problem, report.lam, fm.c, xs, values, crossings, (), report)
 
 
 def conjugate_solution(problem: Problem, sol: SampledSolution,
@@ -491,21 +487,21 @@ def conjugate_solution(problem: Problem, sol: SampledSolution,
     equation via v = tau(., conj lam) conj(u).
 
     Needs both lam and conj(lam) outside Lambda (the tau factors divide
-    by det B+ at conj lam, which equals conj(det B-) at lam).  The result
-    is the solution with coefficients conj(sol.coeff) of
-    ``conjugate_fundamental``, built from one tau profile over the
-    points ``xs`` (default: the samples of sol) and the crossed atoms: it
+    by det B+ at conj lam, which equals conj(det B-) at lam): lam by
+    ``fm.report``, conj(lam) by the reading that gives its tau profile.
+    The result is the solution with coefficients conj(sol.coeff) of
+    ``conjugate_fundamental``, built from that profile over the points
+    ``xs`` (default: the samples of sol) and the crossed atoms: it
     evaluates at 0, at those points and, one-sided or balanced, at the
     atoms.
     """
     fm = sol.fm
-    lam_c = np.conj(fm.lam)
-    report = bad_points(problem, fm.lam)
-    report_c = bad_points(problem, lam_c)
-    if report.in_lambda_set or report_c.in_lambda_set:
-        raise BadPointError(report if report.in_lambda_set else report_c)
+    report_c = bad_points(problem, np.conj(fm.lam))
+    for report in (fm.report, report_c):
+        if report.in_lambda_set:
+            raise BadPointError(report)
     if xs is None:
         xs = fm.xs
     points = sorted({float(x) for x in xs} | {cr.position for cr in fm.crossings})
-    conj_fm = conjugate_fundamental(fm, tau_profile(problem, lam_c, points))
+    conj_fm = conjugate_fundamental(fm, _tau_profiles(problem, [report_c], points)[0])
     return SampledSolution(conj_fm, np.conj(sol.coeff))

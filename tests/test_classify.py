@@ -22,7 +22,7 @@ from weyl_canon.classify import (
 )
 from weyl_canon.errors import BadPointError, DegenerateUError, WeylCanonError
 from weyl_canon.measures import CoefficientMeasure, Problem, parse_problem
-from weyl_canon.propagation import bad_points, fundamental_matrix
+from weyl_canon.propagation import bad_points, fundamental_matrix, kernel_gram
 from weyl_canon.weyl import (
     WeylDisk,
     conjugate_fundamental,
@@ -78,6 +78,18 @@ def test_grid_perturbs_atom_collisions():
     grid = default_c_grid(p, c0=0.25, rho=2.0, count=8)
     assert all(c not in p.atom_positions for c in grid)
     assert np.all(np.diff(grid) > 0)
+
+
+def test_default_grid_refuses_points_that_round_to_a_finite_b():
+    # c_k = b - (b - c0) rho^-k rounds to b = 4 from about k = 90 on
+    # when rho = 1.5, and from about k = 33 on when rho = 3
+    p = regular_finite_problem(4.0)
+    for kwargs in ({"count": 100}, {"count": 120}, {"rho": 3.0, "count": 40}):
+        with pytest.raises(ValueError, match=r"count=\d+ and rho=[\d.]+ do not keep"):
+            default_c_grid(p, **kwargs)
+    grid = default_c_grid(p, count=80)
+    assert np.all(np.diff(grid) > 0) and grid[-1] < 4.0
+    assert default_c_grid(p, count=100, c_max=3.9)[-1] <= 3.9
 
 
 # -- traces -------------------------------------------------------------------
@@ -527,6 +539,52 @@ def test_bad_lambda_refused_on_both_sides():
                 trace_disks(p, lam)
             with pytest.raises(BadPointError):
                 deficiency_indices(p, lam)
+
+
+def test_bad_lambda_refusals_name_the_lambda_checked_first():
+    # trace_disks checks the lambda it is given; deficiency_indices checks
+    # the upper half plane first, and conj(lam) is bad exactly when lam is
+    for name in ("bad_point_minus", "bad_point_plus"):
+        p, rec = builtin_example(name)
+        bad = rec.expected["bad_lambda"]
+        upper = complex(bad.real, abs(bad.imag))
+        for lam in (bad, bad.conjugate()):
+            with pytest.raises(BadPointError) as info:
+                trace_disks(p, lam)
+            assert info.value.report.lam == lam
+            assert info.value.report.positions == p.atom_positions
+            with pytest.raises(BadPointError) as info:
+                deficiency_indices(p, lam)
+            assert info.value.report.lam == upper
+            assert info.value.report.positions == p.atom_positions
+
+
+def test_each_public_call_reads_the_atoms_once_per_lambda(monkeypatch):
+    p = Problem(8.0, 0.3,
+                CoefficientMeasure(d11="1", atoms=[(1.0, [[1, 0.5j], [-0.5j, 1]]),
+                                                   (2.5, [[0.5, 0], [0, -0.5]])]),
+                CoefficientMeasure(d11="1", d22="1",
+                                   atoms=[(1.0, [[1, 0], [0, 0]]),
+                                          (4.0, [[0.5, 0.2], [0.2, 0.5]])]))
+    n = len(p.atom_positions)
+    assert n == 3
+    lam = 0.3 + 1j
+    # lambda = 0 for the kernel Gram matrix, lam and conj(lam) for the traces
+    readings = {
+        "fundamental_matrix": (lambda: fundamental_matrix(p, lam, 5.0), n),
+        "tau_profile": (lambda: tau_profile(p, lam, [0.5, 3.0, 5.0]), n),
+        "kernel_gram": (lambda: kernel_gram(p, 5.0), n),
+        "trace_disks upper": (lambda: trace_disks(p, lam), n),
+        "trace_disks lower": (lambda: trace_disks(p, lam.conjugate()), 2 * n),
+        "deficiency_indices upper": (lambda: deficiency_indices(p, lam), 3 * n),
+        "deficiency_indices lower": (
+            lambda: deficiency_indices(p, lam.conjugate()), 3 * n),
+    }
+    calls = count_calls(monkeypatch, weyl_canon.propagation, "jump_matrices")
+    for name, (call, want) in readings.items():
+        calls.clear()
+        call()
+        assert len(calls) == want, name
 
 
 def test_lesch_malamud_at_2i_keeps_its_indices():

@@ -301,6 +301,17 @@ def test_out_writes_file(runner, tmp_path):
     assert header.startswith("lambda_re,lambda_im,c,center_re")
 
 
+@pytest.mark.parametrize("command", ["tau", "disks", "classify"])
+def test_grid_reaching_a_finite_b_exit_2_naming_count(runner, tmp_path, command):
+    # on b = 2 the 100-point default grid rounds to b from about k = 90 on
+    path = tmp_path / "p.json"
+    path.write_text(VALID_DOC)
+    result = invoke(runner, [command, "--problem", str(path), "--lambda", "i",
+                             "--count", "100"])
+    assert result.exit_code == 2
+    assert "count=100 and rho=1.5" in result.output
+
+
 def test_tau_rows_follow_the_lambda_order(runner):
     result = invoke(runner, ["tau", "--example", "free_identity",
                              "--lambda", "i", "--lambda", "-i",

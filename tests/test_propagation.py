@@ -754,6 +754,24 @@ def test_kernel_gram_checks_lambda_zero_bad_points():
         kernel_gram(p, 2.0)
 
 
+def test_kernel_gram_refuses_lambda_zero_with_one_message():
+    # at real lambda, Hermitian jumps make B- and B+ singular together
+    # (real_jump_dichotomy): the atom at 1 blocks the sweep to c_max = 2,
+    # while the sweep to 0.5 passes and the reading of the atoms refuses
+    dq = np.array([[2, 0], [0, -2]], dtype=complex)
+    p = Problem(4.0, 0.0,
+                CoefficientMeasure(atoms=[(1.0, dq)]),
+                CoefficientMeasure(d11="1"))
+    for c_max in (2.0, 0.5):
+        with pytest.raises(BadPointError) as info:
+            kernel_gram(p, c_max)
+        assert str(info.value) == ("lambda=0 admits a bad point; the kernel "
+                                   "Gram matrix is not defined")
+        report = info.value.report
+        assert report.lam == 0 and report.positions == (1.0,)
+        assert report.records[0].minus_singular and report.records[0].plus_singular
+
+
 def _gram_by_quadrature(p, c):
     """G(c) from the U(.,0)* w U(.,0) integrand on each piece and the
     balanced atom terms, integrated here apart from kernel_gram."""

@@ -8,6 +8,7 @@ import weyl_canon.measures as measures_module
 from weyl_canon.catalog import builtin_example, catalog_names
 from weyl_canon.classify import default_c_grid
 from weyl_canon.errors import (
+    BadPointError,
     DegenerateHalfPlaneError,
     DegenerateUError,
     IntegrationFailureError,
@@ -119,6 +120,19 @@ def test_tau_atom_product_only():
     assert s.continuous_factor == 1.0
     assert rel_err(s.value, rec.eval("tau", 2.0, 1j)) < 1e-14
     assert rel_err(s.value, 1j / (-3j)) < 1e-14
+
+
+def test_tau_profile_refuses_past_a_singular_b_plus():
+    # B+ is singular at the atom at 1 for lam = 2i: the profile stops
+    # there, while a point at the atom holds the left limit and passes
+    p, rec = builtin_example("bad_point_plus")
+    lam = rec.expected["bad_lambda"]
+    assert [s.x for s in tau_profile(p, lam, [0.5, 1.0])] == [0.5, 1.0]
+    with pytest.raises(BadPointError) as info:
+        tau_profile(p, lam, [0.5, 1.5])
+    report = info.value.report
+    assert report.lam == lam and report.positions == (1.0,)
+    assert report.records[0].plus_singular and not report.records[0].minus_singular
 
 
 def test_tau_conjugate_identity(rng):
