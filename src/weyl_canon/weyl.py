@@ -367,7 +367,7 @@ def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None, tau=None):
     if tol_null is None:
         tol_null = null_norm_tolerance(fm.problem, c)
     if tau is None:   # a half plane needs no tau
-        tau = (tau_profile(fm.problem, lam, [c])[0].value
+        tau = (_tau_profiles(fm.problem, [fm.report], [c])[0][0].value
                if not norm_psi_sq <= tol_null else math.nan)
     entries = [[e] for e in fm.entries(c)]
     return _weyl_sets(lam, [c], entries, [norm_psi_sq], [tol_null], [tau])[0]
@@ -396,7 +396,8 @@ def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
             "of the entry products; the geometric radius is not resolved")
     radius = _weyl_sets(lam, [c], [[e] for e in entries], [n_psi], [tol_null],
                         [A * D - B * C])[0].radius
-    formula = abs(tau(problem, lam, c).value) / (2.0 * abs(lam.imag) * n_psi)
+    formula = (abs(_tau_profiles(problem, [fm.report], [c])[0][0].value)
+               / (2.0 * abs(lam.imag) * n_psi))
     return abs(radius - formula) / radius
 
 

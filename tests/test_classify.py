@@ -28,6 +28,7 @@ from weyl_canon.weyl import (
     conjugate_fundamental,
     norm_lagrange,
     null_norm_tolerance,
+    radius_identity_residual,
     tau_profile,
     weyl_set,
 )
@@ -574,6 +575,8 @@ def test_each_public_call_reads_the_atoms_once_per_lambda(monkeypatch):
         "fundamental_matrix": (lambda: fundamental_matrix(p, lam, 5.0), n),
         "tau_profile": (lambda: tau_profile(p, lam, [0.5, 3.0, 5.0]), n),
         "kernel_gram": (lambda: kernel_gram(p, 5.0), n),
+        "weyl_set": (lambda: weyl_set(fundamental_matrix(p, lam, 5.0), 5.0, 1.0), n),
+        "radius_identity_residual": (lambda: radius_identity_residual(p, lam, 5.0), n),
         "trace_disks upper": (lambda: trace_disks(p, lam), n),
         "trace_disks lower": (lambda: trace_disks(p, lam.conjugate()), 2 * n),
         "deficiency_indices upper": (lambda: deficiency_indices(p, lam), 3 * n),
