@@ -487,8 +487,9 @@ def _walk(problem, jumps, x0, x1, state, solve, samples=frozenset()):
     from lo through the ``samples`` strictly inside to hi.  At each atom
     strictly between x0 and x1 the state is carried across by its pair in
     ``jumps`` (``BadPointReport.jumps``), B+^{-1} B- forward and B-^{-1} B+
-    backward; an atom at x0 or x1 is not crossed.  Every value is finite.  Returns (state at x1, {x: state} for the samples passed,
-    crossings, segments), the last two in walk order.
+    backward; an atom at x0 or x1 is not crossed.  Every value is checked
+    to be finite.  Returns (state at x1, {x: state} for the samples
+    passed, crossings, segments), the last two in walk order.
     """
     forward = x0 <= x1
     spans = list(problem.spans(min(x0, x1), max(x0, x1)))
