@@ -19,9 +19,8 @@ Every trace propagates in the upper half plane only.  For real U(0)
 the Lagrange identity gives U(c, conj lam) = tau(c, conj lam)
 conj(U(c, lam)), so a trace below the real axis is read off the
 propagation at conj(lam) and a tau profile, and ``deficiency_indices``
-builds both of its traces from one propagation, one more reading of the
-atoms and one tau profile call.  Each trace is one array pass over its
-grid.
+builds both traces from one propagation, one more reading of the atoms
+and one tau profile call.  Each trace is one array pass over its grid.
 """
 
 from __future__ import annotations
@@ -223,18 +222,18 @@ def _traces(problem, lams, c_grid):
     """(disk trace, zero-norm cutoff at its last point) over ``c_grid``
     at each of ``lams``, all equal to lam_up or to its conjugate for one
     lam_up with Im lam_up > 0, from a single propagation at lam_up.
-    Checks the lams against Lambda in order, lam_up on its propagation's
+    Checks the lams against Lambda in order, lam_up by its propagation's
     report; conj(lam) lies in Lambda exactly when lam does, since
     det B+-(conj lam) = conj det B-+(lam).  One ``_tau_profiles`` call on
     the reports gives every trace its tau, and each disk's radius comes
     from it, and one ``null_norm_tolerance`` call the cutoffs.  U at all
-    grid points (stored samples; tau conj(U) below), both Lagrange norms
-    and the Weyl sets (``weyl._weyl_sets``) are arrays over the grid.  In grid
-    order, a non-finite norm raises NonRealResultError, and a disk whose
-    denominator, also the psi norm's Lagrange numerator, is in the
-    rounding noise of its products stops the trace; that point does not
-    depend on the side, since the noise ratio is invariant under
-    U -> t conj(U)."""
+    grid points (stored samples; tau conj(U) below the real axis), both
+    Lagrange norms and the Weyl sets (``weyl._weyl_sets``) are arrays
+    over the grid.  In grid order, a non-finite norm raises
+    NonRealResultError, and a disk whose denominator, also the psi norm's
+    Lagrange numerator, is in the rounding noise of its products stops
+    the trace; that point does not depend on the side, since the noise
+    ratio is invariant under U -> t conj(U)."""
     lam_up = complex(lams[0].real, abs(lams[0].imag))
     reports = []
     for lam in lams:

@@ -661,9 +661,9 @@ def _forward(problem, report, c, grid, solve) -> FundamentalMatrix:
     """U from rotation(alpha) at 0 to c by ``_walk`` with the per-piece
     stepper ``solve`` and the jumps of ``report`` (``bad_points`` at lam),
     sampled at 0, c and the points of ``grid`` in [0, c] that are not
-    atoms.  Raises BadPointError when some atom in
-    (0, c) has a singular B+.  The fixed-step oracle reaches the walker
-    through this function as well."""
+    atoms.  Raises BadPointError when some atom in (0, c) has a singular
+    B+.  The fixed-step oracle reaches the walker through this function
+    as well."""
     _require_continuity_point(problem, c)
     if report.forward_blocked_before(c):
         raise BadPointError(report)
