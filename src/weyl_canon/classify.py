@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +39,11 @@ from .propagation import bad_points, fundamental_matrix, kernel_gram
 from .weyl import (
     WeylDisk,
     WeylHalfPlane,
+    _abs,
     _lagrange,
     _tau_profiles,
-    _weyl_sets,
+    _weyl_arrays,
+    _weyl_objects,
     null_norm_tolerance,
 )
 
@@ -209,31 +212,63 @@ class DiskTrace:
         return [p for p in self.points if isinstance(p.wset, WeylHalfPlane)]
 
 
+class _Side(NamedTuple):
+    """One trace as columns over the grid points it keeps: the branch
+    mask (True for a half plane) and the center, radius and level of
+    ``weyl._weyl_arrays``, the entries (A, B, C, D), both Lagrange norms
+    and tau; the grid point where it stopped, and the zero-norm cutoff
+    at its last point."""
+
+    lam: complex
+    c: np.ndarray
+    halfplane: np.ndarray
+    center: np.ndarray
+    radius: np.ndarray
+    level: np.ndarray
+    entries: tuple
+    psi: np.ndarray
+    phi: np.ndarray
+    tau: list
+    truncated_at: float | None
+    tol: float
+
+    def disk(self, k) -> WeylDisk:
+        """The WeylDisk at point k, as ``trace_disks`` builds it."""
+        return WeylDisk(float(self.c[k]), self.lam, complex(self.center[k]),
+                        float(self.radius[k]), tuple(e[k] for e in self.entries))
+
+
 def trace_disks(problem: Problem, lam, c_grid=None) -> DiskTrace:
     """Weyl set + norms + tau at every grid point.  Requires Im lam != 0
     and lam outside Lambda.  One propagation sweep at lam, or at
     conj(lam) when Im lam < 0: the entries there are
     tau(c, lam) conj(U(c, conj lam)), with tau from the trace's own
-    profile."""
-    return _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))[0][0]
+    profile.  The only builder of TracePoint objects."""
+    [side] = _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))
+    sets = _weyl_objects(side.lam, side.c, side.entries, side.halfplane,
+                         side.center, side.radius, side.level)
+    points = tuple(TracePoint(ws.c, ws, psi, phi, tau) for ws, psi, phi, tau in zip(
+        sets, side.psi.tolist(), side.phi.tolist(), side.tau))
+    return DiskTrace(side.lam, points, side.truncated_at)
 
 
 def _traces(problem, lams, c_grid):
-    """(disk trace, zero-norm cutoff at its last point) over ``c_grid``
-    at each of ``lams``, all equal to lam_up or to its conjugate for one
-    lam_up with Im lam_up > 0, from a single propagation at lam_up.
+    """The trace (``_Side``) over ``c_grid`` at each of ``lams``, all
+    equal to lam_up or to its conjugate for one lam_up with Im lam_up > 0,
+    from a single propagation at lam_up.
     Checks the lams against Lambda in order, lam_up by its propagation's
     report; conj(lam) lies in Lambda exactly when lam does, since
     det B+-(conj lam) = conj det B-+(lam).  One ``_tau_profiles`` call on
     the reports gives every trace its tau, and each disk's radius comes
     from it, and one ``null_norm_tolerance`` call the cutoffs.  U at all
     grid points (stored samples; tau conj(U) below the real axis), both
-    Lagrange norms and the Weyl sets (``weyl._weyl_sets``) are arrays
-    over the grid.  In grid order, a non-finite norm raises
-    NonRealResultError, and a disk whose denominator, also the psi norm's
-    Lagrange numerator, is in the rounding noise of its products stops
-    the trace; that point does not depend on the side, since the noise
-    ratio is invariant under U -> t conj(U)."""
+    Lagrange norms and the Weyl sets (``weyl._weyl_arrays``) are arrays
+    over the grid, and no object is built per point.  In grid order, a
+    non-finite norm raises NonRealResultError, and a disk whose
+    denominator, also the psi norm's Lagrange numerator, is in the
+    rounding noise of its products stops the trace; that point does not
+    depend on the side, since the noise ratio is invariant under
+    U -> t conj(U)."""
     lam_up = complex(lams[0].real, abs(lams[0].imag))
     reports = []
     for lam in lams:
@@ -247,27 +282,28 @@ def _traces(problem, lams, c_grid):
     if lam_up not in lams:
         fm_up = fundamental_matrix(problem, lam_up, float(c_grid[-1]), grid=c_grid)
     tols = null_norm_tolerance(problem, c_grid)
-    traces = []
-    for lam, taus in zip(lams, _tau_profiles(problem, reports, c_grid)):
+    sides = []
+    for lam, profile in zip(lams, _tau_profiles(problem, reports, c_grid)):
+        taus = [product * factor for _, product, factor in profile]
         u, u0 = fm_up._samples_at(c_grid), fm_up.at(0.0)
-        if lam != lam_up:
-            u, u0 = np.array([t.value for t in taus])[:, None, None] * np.conj(u), np.conj(u0)
         with np.errstate(over="ignore", invalid="ignore"):
             # rows past the trace's stop are never used; a non-finite
             # row before it raises below.  Columns: phi, psi.
+            if lam != lam_up:
+                u, u0 = np.array(taus)[:, None, None] * np.conj(u), np.conj(u0)
             norms = (_lagrange(u0) - _lagrange((u[:, 0], u[:, 1]))) / lam.imag
         k = int(np.argmax(np.append(~np.isfinite(norms).all(axis=1), True)))
         entries = (u[:k, 0, 0], u[:k, 1, 0], u[:k, 0, 1], u[:k, 1, 1])
-        sets = (_weyl_sets(lam, c_grid[:k], entries, norms[:k, 1], tols[:k],
-                           [t.value for t in taus[:k]]) if k else [])
-        if len(sets) == k < len(c_grid):   # no stop before the bad norm
+        sets = (_weyl_arrays(c_grid[:k], entries, norms[:k, 1], tols[:k], taus[:k])
+                if k else None)
+        n = len(sets[0]) if k else 0
+        if n == k < len(c_grid):   # no stop before the bad norm
             raise NonRealResultError(f"Lagrange norms (phi, psi) came out "
                                      f"non-finite at c={c_grid[k]}: {norms[k]}")
-        points = tuple(TracePoint(ws.c, ws, psi, phi, t.value)
-                       for ws, (phi, psi), t in zip(sets, norms.tolist(), taus))
-        truncated_at = float(c_grid[len(sets)]) if len(sets) < len(c_grid) else None
-        traces.append((DiskTrace(lam, points, truncated_at), tols[len(sets) - 1]))
-    return traces
+        sides.append(_Side(lam, c_grid[:n], *sets, tuple(e[:n] for e in entries),
+                           norms[:n, 1], norms[:n, 0], taus[:n],
+                           float(c_grid[n]) if n < len(c_grid) else None, tols[n - 1]))
+    return sides
 
 
 # --------------------------------------------------------------------------
@@ -378,38 +414,44 @@ def detect_limit(trace: DiskTrace, config=DEFAULT_CONFIG) -> Verdict:
     lc_min_radius is a limit circle.  Half planes: the boundary level
     either converges (half-plane limit) or runs away (empty limit).
     """
-    if len(trace.points) < 8:
+    halfplane = np.array([isinstance(p.wset, WeylHalfPlane) for p in trace.points],
+                         dtype=bool)
+    return _detect_limit(trace.lam, trace.cs, halfplane, trace.radii, trace.levels,
+                         np.array([p.phi_norm_sq for p in trace.points]),
+                         lambda k: trace.points[k].wset, config)
+
+
+def _detect_limit(lam, cs, halfplane, radius, level, phi, disk_at, config):
+    """``detect_limit`` on a trace's columns: the grid, the branch mask
+    (True for a half plane), radius, level and phi norm at each point;
+    disk_at(k) gives the WeylDisk at point k for a verdict's disk."""
+    if len(cs) < 8:
         raise ValueError("limit detection needs at least 8 grid points")
-    disks = trace.disk_points()
-    halfplanes = trace.halfplane_points()
+    disk = ~halfplane
+    if disk.any() and np.any(cs[halfplane] > cs[disk].min()):
+        return Verdict("Inconclusive",
+                       detail="half-plane branch reappeared after disks")
 
-    if disks and halfplanes:
-        t_disk = min(p.c for p in disks)
-        if any(p.c > t_disk for p in halfplanes):
-            return Verdict("Inconclusive",
-                           detail="half-plane branch reappeared after disks")
-
-    if disks:
-        radii = np.array([p.wset.radius for p in disks])
+    if disk.any():
+        radii = radius[disk]
         if len(radii) < 4:
             return Verdict("Inconclusive", detail="too few disk points")
         ratios = radii[1:] / radii[:-1]
-        last = disks[-1]
         if (radii[-1] < config.lp_radius_drop * radii[0]
                 and np.all(ratios[-3:] <= config.lp_ratio)):
-            return Verdict("LimitPoint", m0=last.wset.center, disk=last.wset)
+            last = disk_at(np.flatnonzero(disk)[-1])
+            return Verdict("LimitPoint", m0=last.center, disk=last)
         rel_change = np.max(np.abs(radii[-3:] - radii[-1])) / radii[-1]
         if rel_change < config.lc_rel_change and radii[-1] > config.lc_min_radius:
-            return Verdict("LimitCircle", m0=last.wset.center, disk=last.wset)
+            last = disk_at(np.flatnonzero(disk)[-1])
+            return Verdict("LimitCircle", m0=last.center, disk=last)
         return Verdict("Inconclusive",
                        detail=f"radius trend unresolved (last ratio "
                               f"{ratios[-1]:.4f}, rel change {rel_change:.2e})")
 
-    levels = np.array([p.wset.level for p in halfplanes])
-    cs = np.array([p.c for p in halfplanes])
-    phi = np.array([p.phi_norm_sq for p in halfplanes])
-    lam_sign = 1.0 if trace.lam.imag > 0 else -1.0
-    cls, info = classify_norm_growth(cs, lam_sign * levels,
+    levels, phi = level[halfplane], phi[halfplane]
+    lam_sign = 1.0 if lam.imag > 0 else -1.0
+    cls, info = classify_norm_growth(cs[halfplane], lam_sign * levels,
                                      tol_null=-math.inf, config=config)
     if cls is NormClass.DIVERGING or phi[-1] > 1e12 * max(phi[0], 1e-300):
         return Verdict("EmptyLimit", level=float(levels[-1]),
@@ -464,13 +506,9 @@ def definiteness(problem: Problem, c_max=None) -> DefinitenessResult:
 # deficiency indices
 # --------------------------------------------------------------------------
 
-def _norm_classes(trace, tol, config):
-    cs = trace.cs
-    psi_cls, psi_info = classify_norm_growth(
-        cs, [p.psi_norm_sq for p in trace.points], tol, config)
-    phi_cls, phi_info = classify_norm_growth(
-        cs, [p.phi_norm_sq for p in trace.points], tol, config)
-    return (psi_cls, psi_info), (phi_cls, phi_info)
+def _norm_classes(side, config):
+    return (classify_norm_growth(side.c, side.psi, side.tol, config),
+            classify_norm_growth(side.c, side.phi, side.tol, config))
 
 
 def all_solutions_l2(problem: Problem, lam, c_grid=None,
@@ -478,8 +516,8 @@ def all_solutions_l2(problem: Problem, lam, c_grid=None,
     """True when every solution at lam lies in L^2(w), read from the
     convergence of both column norms over the grid.  Raises
     InconclusiveError when the trend cannot be resolved."""
-    [(trace, tol)] = _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))
-    (psi_cls, _), (phi_cls, _) = _norm_classes(trace, tol, config)
+    [side] = _traces(problem, (complex(lam),), _truncation_grid(problem, c_grid))
+    (psi_cls, _), (phi_cls, _) = _norm_classes(side, config)
     finite = {NormClass.ZERO, NormClass.CONVERGING}
     if psi_cls is NormClass.AMBIGUOUS or phi_cls is NormClass.AMBIGUOUS:
         raise InconclusiveError(
@@ -562,10 +600,9 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
     defres = definiteness(problem, c_max=float(c_grid[-1]))
     d = defres.dim_null_space
 
-    (trace_up, tol_up), (trace_dn, tol_dn) = _traces(
-        problem, (lam_up, lam_up.conjugate()), c_grid)
-    (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(trace_up, tol_up, config)
-    (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(trace_dn, tol_dn, config)
+    side_up, side_dn = _traces(problem, (lam_up, lam_up.conjugate()), c_grid)
+    (psi_up, psi_up_info), (phi_up, phi_up_info) = _norm_classes(side_up, config)
+    (psi_dn, psi_dn_info), (phi_dn, phi_dn_info) = _norm_classes(side_dn, config)
 
     inconclusive = False
     notes = []
@@ -603,8 +640,8 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
         else:
             n_plus, n_minus = (max(v, 0) for v in pair)
 
-    tau_up = classify_tau_trend(trace_up.cs, trace_up.tau_abs, config)
-    tau_dn = classify_tau_trend(trace_dn.cs, trace_dn.tau_abs, config)
+    tau_up = classify_tau_trend(side_up.c, _abs(np.array(side_up.tau)), config)
+    tau_dn = classify_tau_trend(side_dn.c, _abs(np.array(side_dn.tau)), config)
     if n_plus is not None and n_plus != n_minus:
         if {tau_up, tau_dn} != {"toZero", "toInfinity"}:
             inconclusive = True
@@ -613,38 +650,38 @@ def deficiency_indices(problem: Problem, lam, c_grid=None,
                 f"{tau_up}/{tau_dn}")
             n_plus = n_minus = None
 
-    def safe_detect(trace):
+    def safe_detect(side):
         try:
-            return detect_limit(trace, config)
+            return _detect_limit(side.lam, side.c, side.halfplane, side.radius,
+                                 side.level, side.phi, side.disk, config)
         except ValueError as exc:
             return Verdict("Inconclusive", detail=str(exc))
 
-    verdict_up = safe_detect(trace_up)
-    verdict_dn = safe_detect(trace_dn)
+    verdict_up = safe_detect(side_up)
+    verdict_dn = safe_detect(side_dn)
     requested_is_upper = lam.imag > 0
 
-    def side_diag(trace, psi_info, phi_info, verdict):
-        disks = trace.disk_points()
-        radii = [p.wset.radius for p in disks]
+    def side_diag(side, psi_info, phi_info, verdict):
+        radii = side.radius[~side.halfplane].tolist()
         return {
             "finalRadius": radii[-1] if radii else None,
             "radiusRatios": [radii[i + 1] / radii[i]
                              for i in range(max(0, len(radii) - 4),
                                             len(radii) - 1)],
-            "psiNormLast": trace.points[-1].psi_norm_sq,
-            "phiNormLast": trace.points[-1].phi_norm_sq,
+            "psiNormLast": float(side.psi[-1]),
+            "phiNormLast": float(side.phi[-1]),
             "psiGrowthExponent": psi_info.get("growthExponent"),
             "phiGrowthExponent": phi_info.get("growthExponent"),
             "verdict": verdict.kind,
         }
 
     diagnostics = {
-        "cGrid": [float(c) for c in c_grid],
+        "cGrid": c_grid.tolist(),
         "definiteUpTo": defres.c_max,
         "gramMinEigenvalue": defres.min_eigenvalue,
         "gramTrace": defres.gram_trace,
-        "upper": side_diag(trace_up, psi_up_info, phi_up_info, verdict_up),
-        "lower": side_diag(trace_dn, psi_dn_info, phi_dn_info, verdict_dn),
+        "upper": side_diag(side_up, psi_up_info, phi_up_info, verdict_up),
+        "lower": side_diag(side_dn, psi_dn_info, phi_dn_info, verdict_dn),
         "notes": notes,
     }
 

@@ -267,22 +267,22 @@ def tau(problem, example, lambdas, c0, rho, count, cmax, fmt, out):
         p = _load_problem(problem, example)
         grid = default_c_grid(p, c0=c0, rho=rho, count=count, c_max=cmax)
         lams = [parse_lambda(s) for s in lambdas]
-        profiles = _tau_profiles(p, [bad_points(p, lam) for lam in lams], grid)
+        profiles = [[(x, product * factor) for x, product, factor in profile]
+                    for profile in _tau_profiles(p, [bad_points(p, lam) for lam in lams], grid)]
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf)
             writer.writerow(["lambda_re", "lambda_im", "x",
                              "tau_re", "tau_im", "tau_abs"])
             for lam, profile in zip(lams, profiles):
-                for s in profile:
-                    writer.writerow([lam.real, lam.imag, s.x,
-                                     s.value.real, s.value.imag, abs(s.value)])
+                for x, t in profile:
+                    writer.writerow([lam.real, lam.imag, x, t.real, t.imag, abs(t)])
             _emit(buf.getvalue(), out)
         else:
             docs = [{
                 "lambda": [lam.real, lam.imag],
-                "points": [{"x": s.x, "tau": [s.value.real, s.value.imag],
-                            "abs": abs(s.value)} for s in profile],
+                "points": [{"x": x, "tau": [t.real, t.imag], "abs": abs(t)}
+                           for x, t in profile],
             } for lam, profile in zip(lams, profiles)]
             _emit(json.dumps({"schema": "weyl-canon/tau/v1",
                               "profiles": docs}, indent=2), out)

@@ -321,39 +321,62 @@ def has_variable(expr: Expr) -> bool:
 def _affine(node, var=Variable()):
     """(a, b) with node == a*var + b when the AST is affine in the node
     ``var`` by its structure (sums, constant multiples and constant
-    divisors of var, where a constant is an AST without x), else None."""
+    divisors of var, where a constant is an AST without x), else None.
+    One walk, ``_linear``, learns which nodes hold x."""
+    held, form = _linear(node, var)
+    return form if held else _finite(form)
+
+
+def _finite(value):
+    """(0, value) for the finite value of an AST without x, else None."""
+    return None if value is None or not cmath.isfinite(value) else (0j, complex(value))
+
+
+def _apply(op, *args):
+    """op(*args) as ``_eval`` applies it; None where an argument is None
+    or it fails with an error that eval_expr reports."""
+    try:
+        return None if None in args else op(*args)
+    except (ExpressionDomainError, ZeroDivisionError, ValueError, OverflowError):
+        return None
+
+
+def _linear(node, var):
+    """(held, result): whether x occurs in node, and then ``_affine``'s
+    form of it, else its value by ``_eval``'s operations (None where
+    they fail)."""
     if node == var:
-        return 1 + 0j, 0j
-    if not has_variable(node):
-        return _constant(node)
+        return True, (1 + 0j, 0j)
+    if isinstance(node, Variable):
+        return True, None
+    if isinstance(node, (Literal, Constant)):
+        return False, _eval(node, None)
+    if isinstance(node, Call):
+        held, value = _linear(node.arg, var)
+        return held, None if held else _apply(_FUNC_IMPL[node.func], value)
     if isinstance(node, Unary):
-        inner = _affine(node.operand, var)
-        return None if inner is None else (-inner[0], -inner[1])
-    if not isinstance(node, BinOp):
-        return None
-    left, right = _affine(node.left, var), _affine(node.right, var)
+        held, inner = _linear(node.operand, var)
+        if not held:
+            return False, _apply(operator.neg, inner)
+        return True, None if inner is None else (-inner[0], -inner[1])
+    (lh, left), (rh, right) = _linear(node.left, var), _linear(node.right, var)
+    if not (lh or rh):
+        return False, _apply(_BINARY[node.op], left, right)
+    left, right = (left if lh else _finite(left)), (right if rh else _finite(right))
     if left is None or right is None:
-        return None
+        return True, None
     (a1, b1), (a2, b2) = left, right
     if node.op == "+":
-        return a1 + a2, b1 + b2
+        return True, (a1 + a2, b1 + b2)
     if node.op == "-":
-        return a1 - a2, b1 - b2
+        return True, (a1 - a2, b1 - b2)
     if node.op == "*" and a1 == 0:
-        return b1 * a2, b1 * b2
+        return True, (b1 * a2, b1 * b2)
     if node.op == "*" and a2 == 0:
-        return a1 * b2, b1 * b2
+        return True, (a1 * b2, b1 * b2)
     if node.op == "/" and a2 == 0 and b2 != 0:
-        return a1 / b2, b1 / b2
-    return None
-
-
-def _constant(node):
-    """(0, value) for an AST without x, None where it does not evaluate."""
-    try:
-        return 0j, eval_expr(node, 0.0)
-    except ExpressionDomainError:
-        return None
+        return True, (a1 / b2, b1 / b2)
+    return True, None
 
 
 def shared_affine(exprs):
@@ -365,8 +388,7 @@ def shared_affine(exprs):
     does with its affine wrappers (negation, and sums, products and
     quotients with a constant) peeled off, so that ``1+2/(x^2+1)`` gives
     E = ``2/(x^2+1)``."""
-    varying = [has_variable(e) for e in exprs]
-    node = next((e for e, v in zip(exprs, varying) if v), None)
+    node = next((e for e in exprs if has_variable(e)), None)
     while True:
         if isinstance(node, Unary):
             node = node.operand
@@ -376,8 +398,81 @@ def shared_affine(exprs):
             node = node.left
         else:
             break
-    forms = [_affine(e, node) if v else _constant(e) for e, v in zip(exprs, varying)]
+    forms = [_affine(e, node) for e in exprs]
     return node, tuple([None if f is None else (f[1], f[0]) for f in forms])
+
+
+_SQUARE = BinOp("^", Variable(), Literal(2 + 0j))
+
+
+def _antiderivative(node):
+    """(F, bases): an AST F with F' = node on every interval where each
+    real (a, b) of bases keeps a*x + b positive, or None.  The rules read
+    the structure: a x + b (constants included) gives a x^2 / 2 + b x;
+    sums, negation, and constant multiples and divisors go term by term;
+    k (a x + b)^p with real a != 0, b and p gives
+    k (a x + b)^(p+1) / (a (p+1)), or k log(a x + b) / a for p = -1,
+    with (a, b) in bases; exp, sin and cos of a x + b with a != 0 give
+    exp / a, -cos / a and sin / a; and k / (a x^2 + c) with real
+    a, c > 0 gives k atan(sqrt(a/c) x) / sqrt(a c)."""
+    x = Variable()
+    form = _affine(node)
+    if form is not None:
+        a, b = form
+        return BinOp("+", BinOp("*", Literal(a / 2), BinOp("^", x, Literal(2 + 0j))),
+                     BinOp("*", Literal(b), x)), ()
+    if isinstance(node, Unary):
+        inner = _antiderivative(node.operand)
+        return None if inner is None else (Unary("-", inner[0]), inner[1])
+    if isinstance(node, Call) and node.func in ("exp", "sin", "cos"):
+        form = _affine(node.arg)
+        if form is None or form[0] == 0:
+            return None
+        F = {"exp": node, "sin": Unary("-", Call("cos", node.arg)),
+             "cos": Call("sin", node.arg)}[node.func]
+        return BinOp("/", F, Literal(form[0])), ()
+    if not isinstance(node, BinOp) or node.op == "^":
+        return _power(1 + 0j, node, 1)
+    if node.op in "+-":
+        left, right = _antiderivative(node.left), _antiderivative(node.right)
+        if left is None or right is None:
+            return None
+        return BinOp(node.op, left[0], right[0]), left[1] + right[1]
+    k = _affine(node.right)
+    if k is not None and k[0] == 0:            # node.left * k, node.left / k
+        inner = _antiderivative(node.left)
+        return None if inner is None else (BinOp(node.op, inner[0], Literal(k[1])), inner[1])
+    k = _affine(node.left)
+    if k is None or k[0] != 0:
+        return None
+    if node.op == "*":
+        inner = _antiderivative(node.right)
+        return None if inner is None else (BinOp("*", Literal(k[1]), inner[0]), inner[1])
+    a, c = _affine(node.right, _SQUARE) or (0j, 0j)
+    if a.real > 0 and c.real > 0 and not (a.imag or c.imag):
+        scale = Literal(complex(math.sqrt(a.real / c.real)))
+        return BinOp("*", Literal(k[1] / math.sqrt(a.real * c.real)),
+                     Call("atan", BinOp("*", scale, x))), ()
+    return _power(k[1], node.right, -1)
+
+
+def _power(k, node, sign):
+    """The antiderivative of k node^sign with node = (a x + b)^p, or
+    a x + b itself (p = 1), for real a != 0, b and p, as
+    ``_antiderivative`` gives it, else None."""
+    base, p = node, (0j, 1 + 0j)
+    if isinstance(node, BinOp) and node.op == "^":
+        base, p = node.left, _affine(node.right)
+    form = _affine(base)
+    if form is None or p is None or p[0] != 0 or form[0] == 0 \
+            or any(v.imag for v in (*form, p[1])):
+        return None
+    a, p = form[0].real, sign * p[1].real
+    if p == -1:
+        F = BinOp("/", Call("log", base), Literal(complex(a)))
+    else:
+        F = BinOp("/", BinOp("^", base, Literal(complex(p + 1))), Literal(complex(a * (p + 1))))
+    return BinOp("*", Literal(k), F), ((a, form[1].real),)
 
 
 def _step_line(node):
@@ -485,10 +580,7 @@ def _fold(expr, lo, hi, values=None):
         op, args = _FUNC_IMPL[expr.func], (v,)
     else:
         return expr, _eval(expr, None)      # None for x itself
-    try:     # an error that eval_expr reports leaves no value
-        return expr, None if None in args else op(*args)
-    except (ExpressionDomainError, ZeroDivisionError, ValueError, OverflowError):
-        return expr, None
+    return expr, _apply(op, *args)     # None for an error eval_expr reports
 
 
 def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:

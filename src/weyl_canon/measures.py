@@ -32,6 +32,7 @@ from .expressions import (
     Expr,
     Literal,
     Unary,
+    _antiderivative,
     _fold,
     _step_lines,
     _step_value,
@@ -43,7 +44,7 @@ from .expressions import (
     shared_affine,
     to_source,
 )
-from .quadrature import integrate
+from .quadrature import _EPS, integrate
 
 __all__ = [
     "Atom",
@@ -273,7 +274,9 @@ class Piece(NamedTuple):
     (``expressions.shared_affine``): each entry is alpha + beta E(x), or
     its form is None.  ``values`` holds alpha where beta = 0, the exact
     constant value, and None elsewhere; node and f are None where no
-    entry depends on x."""
+    entry depends on x.  ``F`` is an antiderivative of E on the piece,
+    compiled, where the rules of ``expressions._antiderivative`` give
+    one, else None."""
 
     lo: float
     hi: float
@@ -281,15 +284,27 @@ class Piece(NamedTuple):
     forms: tuple
     node: Expr | None = None
     f: object = None
+    F: object = None
 
     @property
     def constant(self) -> bool:
         return None not in self.values
 
     def integral(self, lo, hi):
-        """The integral of E over (lo, hi) inside the piece, held to 1e-14
-        absolute and 1e-13 relative within ``E_QUAD_LIMIT`` intervals: the
-        only quadrature of E."""
+        """The integral of E over (lo, hi) inside the piece: F(hi) - F(lo)
+        where F exists and its rounding, 8 eps (|F(hi)| + |F(lo)|), is
+        within the quadrature's own tolerance, max(1e-14, 1e-13 |value|);
+        else the only quadrature of E, held to that tolerance within
+        ``E_QUAD_LIMIT`` intervals."""
+        if self.F is not None:
+            try:
+                left, right = self.F(lo), self.F(hi)
+            except (ZeroDivisionError, ValueError, OverflowError):
+                left = right = math.nan
+            value = right - left
+            if (cmath.isfinite(value) and 8 * _EPS * (abs(left) + abs(right))
+                    <= max(1e-14, 1e-13 * abs(value))):
+                return value
         return integrate(self.f, lo, hi, 1e-14, 1e-13, E_QUAD_LIMIT)[0]
 
     def integrals(self, lo, hi, ks):
@@ -360,8 +375,10 @@ class Problem:
     def _build_pieces(self, entries, walks):
         """A piece keys each entry by the values of its steps (``walks``)
         there, or by (lo, hi) where they are not all affine before
-        folding; pieces with equal keys share one fold, form and f.  The
-        fold gives the constant entries, ``shared_affine`` the others."""
+        folding; pieces with equal keys share one fold, form, f and
+        antiderivative F, which a piece keeps where the bases of its powers
+        are positive on it.  The fold gives the constant entries,
+        ``shared_affine`` the others."""
         cuts = list(self.discontinuities)
         built, pieces = {}, []
         for lo, hi in zip([0.0] + cuts, cuts + [self.b]):
@@ -385,8 +402,13 @@ class Problem:
                     node, forms = shared_affine(folded)
                     values = [None if f is None or f[1] else f[0] for f in forms]
                 f = None if node is None else compile_expr(node)
-                built[key] = (tuple(values), forms, node, f)
-            pieces.append(Piece(lo, hi, *built[key]))
+                F = None if node is None else _antiderivative(node)
+                built[key] = (tuple(values), forms, node, f), F and (compile_expr(F[0]), F[1])
+            fields, F = built[key]
+            if F and all(min(a * lo + b, a * hi + b) >= 0 for a, b in F[1]):
+                pieces.append(Piece(lo, hi, *fields, F[0]))
+            else:   # no antiderivative, or a power's base not positive here
+                pieces.append(Piece(lo, hi, *fields))
         return tuple(pieces)
 
     def spans(self, lo, hi):

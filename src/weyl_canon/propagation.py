@@ -409,12 +409,11 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
 
     def apply(p):
         p11, p12, p21, p22 = p
-        return np.array([c for u, v in columns
-                         for c in (p11 * u + p12 * v, p21 * u + p22 * v)])
+        return [c for u, v in columns for c in (p11 * u + p12 * v, p21 * u + p22 * v)]
 
     parts = problem.commuting_system(lam, piece)
     if parts is not None and not any(parts[1] + parts[2]):
-        def dense(x):
+        def point(x):
             return apply(_constant_flow(parts[0], float(x) - x0))
     elif parts is not None:
         def flow(x, i):
@@ -435,7 +434,7 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
         if x1 < x0:
             xs, nodes = xs[::-1], nodes[::-1]
 
-        def dense(x):
+        def point(x):
             x = float(x)
             k = _nearest(xs, x)
             return flow(x, nodes[k] + piece.integral(xs[k], x))   # 0 at a node
@@ -445,17 +444,13 @@ def _solve_segment(problem, lam, piece, x0, x1, y0_complex, t_eval):
         if x1 < x0:
             xs, states = xs[::-1], states[::-1]
 
-        def flat(cols):
-            return np.array([c for col in cols for c in col])
-
-        def dense(x):
+        def point(x):
             x = float(x)
             k = _nearest(xs, x)
-            if xs[k] == x:
-                return flat(states[k])
-            return flat(_cf4_step(entries, xs[k], x - xs[k], states[k]))
+            cols = states[k] if xs[k] == x else _cf4_step(entries, xs[k], x - xs[k], states[k])
+            return [c for col in cols for c in col]
 
-    return np.array([dense(x) for x in t_eval]), dense
+    return np.array([point(x) for x in t_eval]), lambda x: np.array(point(x))
 
 
 # --------------------------------------------------------------------------

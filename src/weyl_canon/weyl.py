@@ -22,8 +22,13 @@ identity stays an independent check.
 
 Every Lagrange quantity reads one scalar, Im(conj(u1) u2) = i u* J u / 2:
 the norms, the disk's denominator and the half plane's level.  It and
-the Weyl-set formulas work on arrays: ``_weyl_sets`` gives a trace's
-sets at one lam in one pass, and ``weyl_set`` is its one-point call.
+the Weyl-set formulas work on arrays: ``_weyl_arrays`` gives a trace's
+sets at one lam in one pass as arrays of branch, center, radius and
+level, and ``_weyl_objects`` builds a WeylDisk or WeylHalfPlane from
+them only for a caller that returns objects (``weyl_set``, its
+one-point call, and ``classify.trace_disks``).  Likewise
+``_tau_profiles`` gives tau as plain numbers, and only ``tau_profile``
+and ``conjugate_solution`` build TauSample objects from them.
 """
 
 from __future__ import annotations
@@ -116,19 +121,32 @@ def tau(problem: Problem, lam, x) -> TauSample:
 
 def tau_profile(problem: Problem, lam, xs):
     """tau at several increasing x in [0, b), integrating each gap only
-    once; lam must be finite.  The one-lam case of ``_tau_profiles``."""
+    once; lam must be finite.  The samples of ``_tau_profiles`` at the
+    one lam."""
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise ValueError(f"lam={lam} is not finite")
-    return _tau_profiles(problem, [bad_points(problem, lam)], xs)[0]
+    return _samples(lam, _tau_profiles(problem, [bad_points(problem, lam)], xs)[0])
+
+
+def _samples(lam, profile):
+    """The TauSample of each (x, product, factor) of a profile."""
+    return [TauSample(x, lam, p, f, p * f) for x, p, f in profile]
+
+
+def _tau_value(problem, report, x):
+    """tau(x) at the lam of ``report`` from ``_tau_profiles``."""
+    [[(_, product, factor)]] = _tau_profiles(problem, [report], [x])
+    return product * factor
 
 
 def _tau_profiles(problem: Problem, reports, xs):
-    """``tau_profile`` at the lam of each of ``reports`` (``bad_points``
-    at a finite lam) over the same points: one ``Problem.integrate`` pass
-    gives int Im q12_ac + i int Im w12_ac at every point, from the forms of
-    q12 and w12 (``Piece.integrals``) or one quadrature, and each lam
-    applies its own exponential and the atom product of its report."""
+    """tau at the lam of each of ``reports`` (``bad_points`` at a finite
+    lam) over the same points, as a list of (x, atom product, continuous
+    factor) per lam, tau being their product: one ``Problem.integrate``
+    pass gives int Im q12_ac + i int Im w12_ac at every point, from the
+    forms of q12 and w12 (``Piece.integrals``) or one quadrature, and each
+    lam applies its own exponential and the atom product of its report."""
     xs = [float(x) for x in xs]
     if xs and not (0.0 <= xs[0] and xs[-1] < problem.b):
         raise ValueError(f"xs={xs} outside [0, {problem.b})")
@@ -142,7 +160,7 @@ def _tau_profiles(problem: Problem, reports, xs):
         xs, 1e-13, 1e-12, 200, exact)
     profiles = []
     for report in reports:
-        samples = []
+        profile = []
         pending = list(report.jumps.values())
         product = complex(1.0)
         for x, total in zip(xs, integrals):
@@ -151,9 +169,8 @@ def _tau_profiles(problem: Problem, reports, xs):
                 if jp.plus_singular:
                     raise BadPointError(report)
                 product *= jp.det_minus / jp.det_plus
-            factor = _tau_factor(total.real, total.imag, report.lam, x)
-            samples.append(TauSample(x, report.lam, product, factor, product * factor))
-        profiles.append(samples)
+            profile.append((x, product, _tau_factor(total.real, total.imag, report.lam, x)))
+        profiles.append(profile)
     return profiles
 
 
@@ -309,11 +326,12 @@ def _times_conj(x, y):
     return z
 
 
-def _weyl_sets(lam, cs, entries, norm_psi_sq, tol_null, taus):
+def _weyl_arrays(cs, entries, norm_psi_sq, tol_null, taus):
     """The Weyl sets at one lam over the continuity points cs, from arrays
     over them of the entries (A, B, C, D), the psi norm, its zero cutoff
-    and tau = det U: the half plane Im m = -Im(conj(A) B) where the norm
-    is at most the cutoff, else the disk with center
+    and tau = det U, as arrays (halfplane, center, radius, level): the
+    half plane Im m = level = -Im(conj(A) B) where the norm is at most the
+    cutoff, else the disk with center
     (B conj(C) - A conj(D)) / (C conj(D) - conj(C) D) and radius
     |tau| / |C conj(D) - conj(C) D|.  They run in grid order up to the
     first disk whose denominator is in rounding noise, where the trace
@@ -332,7 +350,12 @@ def _weyl_sets(lam, cs, entries, norm_psi_sq, tol_null, taus):
     with np.errstate(divide="ignore", invalid="ignore"):  # half planes: unused
         center = (_times_conj(B, C) - _times_conj(A, D)) / denom
         radius = _abs(np.asarray(taus)[:stop]) / _abs(denom)
-    level = -_lagrange((A, B))
+    return halfplane[:stop], center, radius, -_lagrange((A, B))
+
+
+def _weyl_objects(lam, cs, entries, halfplane, center, radius, level):
+    """The WeylHalfPlane or WeylDisk at each point of ``_weyl_arrays``."""
+    A, B, C, D = (np.asarray(e)[:len(halfplane)] for e in entries)
     rho = _times_conj(A, D) - _times_conj(B, C)
     side = 1 if lam.imag > 0 else -1
     return [WeylHalfPlane(c, lam, lv, side, r, e) if h else WeylDisk(c, lam, m, rd, e)
@@ -343,7 +366,7 @@ def _weyl_sets(lam, cs, entries, norm_psi_sq, tol_null, taus):
 
 
 def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None, tau=None):
-    """Disk or half plane at the continuity point c: ``_weyl_sets`` at
+    """Disk or half plane at the continuity point c: ``_weyl_arrays`` at
     the one point.
 
     The branch is decided by the psi norm against the scale-aware zero
@@ -367,10 +390,11 @@ def weyl_set(fm: FundamentalMatrix, c, norm_psi_sq, *, tol_null=None, tau=None):
     if tol_null is None:
         tol_null = null_norm_tolerance(fm.problem, c)
     if tau is None:   # a half plane needs no tau
-        tau = (_tau_profiles(fm.problem, [fm.report], [c])[0][0].value
+        tau = (_tau_value(fm.problem, fm.report, c)
                if not norm_psi_sq <= tol_null else math.nan)
     entries = [[e] for e in fm.entries(c)]
-    return _weyl_sets(lam, [c], entries, [norm_psi_sq], [tol_null], [tau])[0]
+    sets = _weyl_arrays([c], entries, [norm_psi_sq], [tol_null], [tau])
+    return _weyl_objects(lam, [c], entries, *sets)[0]
 
 
 def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
@@ -394,10 +418,9 @@ def radius_identity_residual(problem: Problem, lam, c, fm=None) -> float:
         raise DegenerateUError(
             f"det U(c={c}) = {A * D - B * C:.3e} is within the noise floor "
             "of the entry products; the geometric radius is not resolved")
-    radius = _weyl_sets(lam, [c], [[e] for e in entries], [n_psi], [tol_null],
-                        [A * D - B * C])[0].radius
-    formula = (abs(_tau_profiles(problem, [fm.report], [c])[0][0].value)
-               / (2.0 * abs(lam.imag) * n_psi))
+    radius = float(_weyl_arrays([c], [[e] for e in entries], [n_psi], [tol_null],
+                                [A * D - B * C])[2][0])
+    formula = abs(_tau_value(problem, fm.report, c)) / (2.0 * abs(lam.imag) * n_psi)
     return abs(radius - formula) / radius
 
 
@@ -504,5 +527,6 @@ def conjugate_solution(problem: Problem, sol: SampledSolution,
     if xs is None:
         xs = fm.xs
     points = sorted({float(x) for x in xs} | {cr.position for cr in fm.crossings})
-    conj_fm = conjugate_fundamental(fm, _tau_profiles(problem, [report_c], points)[0])
+    conj_fm = conjugate_fundamental(
+        fm, _samples(report_c.lam, _tau_profiles(problem, [report_c], points)[0]))
     return SampledSolution(conj_fm, np.conj(sol.coeff))

@@ -20,7 +20,12 @@ from weyl_canon.classify import (
     perturb_off_atoms,
     trace_disks,
 )
-from weyl_canon.errors import BadPointError, DegenerateUError, WeylCanonError
+from weyl_canon.errors import (
+    BadPointError,
+    DegenerateUError,
+    NonRealResultError,
+    WeylCanonError,
+)
 from weyl_canon.measures import CoefficientMeasure, Problem, parse_problem
 from weyl_canon.propagation import bad_points, fundamental_matrix, kernel_gram
 from weyl_canon.weyl import (
@@ -758,3 +763,110 @@ def test_growth_exponent_is_the_least_squares_slope(rng, monkeypatch):
     for values, fit in zip(tails, fits):
         _, info = classify_norm_growth(cs, values, 0.0)
         assert info["growthExponent"] == pytest.approx(fit, rel=1e-12, abs=1e-15)
+
+
+# -- every verdict branch of detect_limit ---------------------------------------
+
+def synthetic_trace(kinds, lam=1j, phi=None):
+    """DiskTrace on c = 1, 2, ...: ("disk", radius) or ("half", level) at
+    each point, with phi norms ``phi`` (default 1)."""
+    from weyl_canon.classify import DiskTrace, TracePoint
+    from weyl_canon.weyl import WeylHalfPlane
+
+    points = []
+    for k, (kind, v) in enumerate(kinds):
+        c = float(k + 1)
+        entries = (1 + 0j, 0j, 0j, 1 + 0j)
+        ws = (WeylDisk(c, lam, complex(k, 1), v, entries) if kind == "disk"
+              else WeylHalfPlane(c, lam, v, 1 if lam.imag > 0 else -1, 1 + 0j, entries))
+        points.append(TracePoint(c, ws, 1.0, 1.0 if phi is None else phi[k], 1 + 0j))
+    return DiskTrace(lam, tuple(points))
+
+
+def test_detect_limit_branches_on_disks():
+    kinds = [("half", 1.0)] * 3 + [("disk", 1.0)] * 3 + [("half", 1.0)] + [("disk", 1.0)] * 3
+    verdict = detect_limit(synthetic_trace(kinds))
+    assert (verdict.kind, verdict.detail) == (
+        "Inconclusive", "half-plane branch reappeared after disks")
+    verdict = detect_limit(synthetic_trace([("half", 1.0)] * 6 + [("disk", 1.0)] * 3))
+    assert (verdict.kind, verdict.detail) == ("Inconclusive", "too few disk points")
+
+    trace = synthetic_trace([("half", 1.0)] * 2 + [("disk", 0.1 ** k) for k in range(10)])
+    verdict = detect_limit(trace)
+    assert verdict.kind == "LimitPoint"
+    assert verdict.disk is trace.points[-1].wset and verdict.m0 == complex(11, 1)
+    trace = synthetic_trace([("disk", 2.0 - 0.5 ** k) for k in range(3)] + [("disk", 2.0)] * 6)
+    verdict = detect_limit(trace)
+    assert verdict.kind == "LimitCircle" and verdict.disk is trace.points[-1].wset
+    verdict = detect_limit(synthetic_trace([("disk", 1.0 + k % 2) for k in range(9)]))
+    assert (verdict.kind, verdict.disk) == ("Inconclusive", None)
+    assert verdict.detail == "radius trend unresolved (last ratio 0.5000, rel change 1.00e+00)"
+
+
+@pytest.mark.parametrize("lam", [1j, -1j])
+def test_detect_limit_branches_on_half_planes(lam):
+    sign = 1.0 if lam.imag > 0 else -1.0
+
+    def verdict(levels, phi=None):
+        return detect_limit(synthetic_trace([("half", sign * v) for v in levels], lam, phi))
+
+    runaway = verdict([10.0 ** (2 * k) for k in range(10)])
+    assert (runaway.kind, runaway.level_diverges) == ("EmptyLimit", True)
+    assert runaway.level == sign * 1e18
+    runaway = verdict([2.0] * 10, phi=[10.0 ** (2 * k) for k in range(10)])
+    assert (runaway.kind, runaway.level) == ("EmptyLimit", sign * 2.0)
+    limit = verdict([1.0 - 0.5 ** k for k in range(1, 11)])
+    assert limit.kind == "HalfPlaneLimit"
+    assert limit.level == pytest.approx(sign * 1.0, rel=1e-12)
+    assert verdict([2.0] * 10).level == sign * 2.0       # no increments: the last level
+    unresolved = verdict([float(k) for k in range(1, 11)])
+    assert (unresolved.kind, unresolved.detail) == (
+        "Inconclusive", "half-plane level trend unresolved")
+
+
+# -- no objects per point, no quadrature of a closed-form E ----------------------
+
+def test_deficiency_indices_builds_no_object_per_point(monkeypatch):
+    from weyl_canon.classify import TracePoint
+    from weyl_canon.weyl import TauSample
+
+    built = {cls: [] for cls in (TracePoint, TauSample, WeylDisk)}
+    for cls, calls in built.items():
+        original = cls.__init__
+
+        def counted(self, *args, calls=calls, original=original, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for name, params in [("free_identity", {}), ("lesch_malamud", {"a": 1.0}),
+                         ("constant_w", {}), ("bad_point_minus", {})]:
+        p, _ = builtin_example(name, **params)
+        for calls in built.values():
+            calls.clear()
+        report = deficiency_indices(p, 0.5 - 1j)
+        assert len(built[TracePoint]) == len(built[TauSample]) == 0
+        assert len(built[WeylDisk]) == sum(
+            v.disk is not None for v in (report.verdict, report.verdict_conjugate)) <= 2
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_lesch_malamud_runs_no_kronrod_rule(monkeypatch, a):
+    import weyl_canon.quadrature as quadrature
+
+    p, _ = builtin_example("lesch_malamud", a=a)
+    grid = default_c_grid(p)
+    rules = count_calls(monkeypatch, quadrature, "_kronrod21")
+    fm = fundamental_matrix(p, 1j, float(grid[-1]), grid=grid)
+    fm.at(7.3)
+    tau_profile(p, 0.5 - 1j, grid)
+    kernel_gram(p, float(grid[-1]))
+    assert rules == []
+
+
+def test_lower_trace_overflow_is_a_non_real_result():
+    # tau conj(U) overflows below the axis at lam = 10i; under
+    # error::RuntimeWarning numpy's warning would escape instead
+    p, _ = builtin_example("constant_w")
+    with pytest.raises(NonRealResultError, match="non-finite"):
+        deficiency_indices(p, 10j)

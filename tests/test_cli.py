@@ -454,3 +454,15 @@ def test_validate_malformed_atom_or_breakpoint_exit_2(runner, tmp_path, fields):
     result = invoke(runner, ["validate", "--problem", str(path)])
     assert result.exit_code == 2
     assert "error: q." in result.output
+
+
+def test_classify_overflow_below_the_axis_exits_4_without_a_warning():
+    # tau conj(U) of the lower trace overflows at lam = 10i
+    src = os.path.dirname(os.path.dirname(weyl_canon.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "weyl_canon.cli", "classify", "--example",
+         "constant_w", "--lambda", "0,10"], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 4
+    assert "non-finite" in result.stdout + result.stderr
+    assert "RuntimeWarning" not in result.stderr

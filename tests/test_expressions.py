@@ -230,3 +230,50 @@ def test_fold_steps_agrees_with_eval_inside_the_piece(rng):
         folded = fold_steps(expr, lo, hi)
         for x in rng.uniform(lo, hi, size=5):
             assert eval_expr(folded, x) == eval_expr(expr, x)
+
+
+def test_step_line_learns_which_nodes_hold_x_in_one_walk(monkeypatch):
+    import weyl_canon.expressions as expressions
+    from conftest import count_calls
+
+    node = parse_expr("step(2*(x-1)/3+0.5)")
+    calls = count_calls(monkeypatch, expressions, "has_variable")
+    a, b = expressions._step_line(node)
+    assert calls == []
+    assert (a, b) == pytest.approx((2 / 3, 0.5 - 2 / 3), rel=1e-15)
+
+
+# -- antiderivatives --------------------------------------------------------------
+
+@pytest.mark.parametrize("text, intervals", [
+    ("2*x+1", [(0.0, 1.0), (0.5, 3.0), (2.0, 7.5)]),                  # affine
+    ("3*cos(x)/2", [(0.0, 1.0), (0.3, 2.2), (5.0, 9.0)]),             # multiple, divisor
+    ("-(exp(x)+x)", [(0.0, 1.0), (1.0, 2.5), (0.25, 0.75)]),          # negation, sum
+    ("1-sin(2*x+1)", [(0.0, 1.0), (1.0, 4.0), (3.0, 3.5)]),           # difference
+    ("exp(i*x)", [(0.0, 1.0), (1.0, 6.0), (2.0, 2.5)]),               # complex slope
+    ("x^(-1/2)", [(0.0, 4.0), (1e-6, 1.0), (2.0, 30.0)]),             # power
+    ("(2*x+1)^1.5", [(0.0, 1.0), (1.0, 3.0), (0.1, 0.2)]),
+    ("2/(x+1)^2", [(0.0, 1.0), (1.0, 10.0), (0.5, 0.6)]),             # reciprocal power
+    ("1/(x+1)", [(0.0, 1.0), (1.0, 30.0), (5.0, 6.0)]),               # log
+    ("1/(x^2+1)", [(0.0, 1.0), (1.0, 30.0), (0.0, 30.0)]),            # atan
+    ("2/(3*x^2+2)", [(0.0, 1.0), (0.5, 2.0), (3.0, 10.0)]),
+])
+def test_each_antiderivative_rule_agrees_with_the_quadrature(text, intervals):
+    from weyl_canon.expressions import _antiderivative
+    from weyl_canon.quadrature import integrate
+
+    node = parse_expr(text)
+    F, bases = _antiderivative(node)
+    F, f = compile_expr(F), compile_expr(node)
+    for lo, hi in intervals:
+        assert all(min(a * lo + b, a * hi + b) >= 0 for a, b in bases)
+        want = integrate(f, lo, hi, 1e-14, 1e-13, 10_000)[0]   # Piece.integral's
+        assert abs((F(hi) - F(lo)) - want) <= 1e-13 * abs(want), (lo, hi)
+
+
+@pytest.mark.parametrize("text", ["x*x", "log(x)", "sqrt(x)", "1/(x^2-1)",
+                                  "x^x", "exp(x^2)", "(i*x+1)^0.5", "1/(x^2+i)"])
+def test_no_antiderivative_outside_the_rules(text):
+    from weyl_canon.expressions import _antiderivative
+
+    assert _antiderivative(parse_expr(text)) is None

@@ -480,3 +480,45 @@ def test_non_finite_atoms_are_refused(side, entry):
         parse_problem(json.dumps(doc))
     with pytest.raises(ValidationError, match="finite"):
         CoefficientMeasure(atoms=[(math.nan, np.eye(2))])
+
+
+def _kronrod_counter(monkeypatch):
+    import weyl_canon.quadrature as quadrature
+    from conftest import count_calls
+
+    return count_calls(monkeypatch, quadrature, "_kronrod21")
+
+
+def test_piece_integral_reads_the_antiderivative(monkeypatch):
+    p = Problem(math.inf, 0.0, CoefficientMeasure(d12="x^(-1/2)"),
+                CoefficientMeasure(d11="1", d22="1"))
+    [piece] = p.pieces
+    rules = _kronrod_counter(monkeypatch)
+    for lo, hi in ((0.0, 4.0), (0.3, 0.30001), (2.0, 50.0)):
+        assert piece.integral(lo, hi) == pytest.approx(2 * (hi ** 0.5 - lo ** 0.5),
+                                                       rel=1e-13)
+    assert rules == []
+
+
+def test_piece_integral_falls_back_to_the_quadrature(monkeypatch):
+    from weyl_canon.quadrature import integrate
+
+    p = Problem(40.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="exp(x)", d22="1"))
+    [piece] = p.pieces
+    assert piece.F is not None
+    rules = _kronrod_counter(monkeypatch)
+    # F(30) ~ 1e13: the difference over 1e-9 is lost in F's rounding
+    lo, hi = 30.0, 30.0 + 1e-9
+    assert piece.integral(lo, hi) == integrate(piece.f, lo, hi, 1e-14, 1e-13)[0]
+    assert len(rules) >= 2
+    assert piece.integral(lo, hi) == pytest.approx(math.exp(30.0) * 1e-9, rel=1e-6)
+
+
+def test_a_power_whose_base_changes_sign_has_no_antiderivative_there():
+    p = Problem(4.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+(x-1)^2*step(x-2)", d22="1"))
+    assert [piece.F is None for piece in p.pieces] == [True, False]
+    p = Problem(4.0, 0.0, CoefficientMeasure(),
+                CoefficientMeasure(d11="1+(x-1)^2", d22="1"))
+    assert p.pieces[0].F is None
