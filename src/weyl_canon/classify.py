@@ -20,7 +20,11 @@ the Lagrange identity gives U(c, conj lam) = tau(c, conj lam)
 conj(U(c, lam)), so a trace below the real axis is read off the
 propagation at conj(lam) and a tau profile, and ``deficiency_indices``
 builds both traces from one propagation, one more reading of the atoms
-and one tau profile call.  Each trace is one array pass over its grid.
+and one tau profile call.  Each trace is one array pass over its grid,
+kept as columns (``_Side``): ``deficiency_indices`` reads the norm
+classes, tau trends, limit verdicts and diagnostics off them and builds
+no object per point, only the WeylDisk of a verdict's disk, while
+``trace_disks`` builds its TracePoint objects from them.
 """
 
 from __future__ import annotations
@@ -422,28 +426,29 @@ def detect_limit(trace: DiskTrace, config=DEFAULT_CONFIG) -> Verdict:
 
 
 def _detect_limit(lam, cs, halfplane, radius, level, phi, disk_at, config):
-    """``detect_limit`` on a trace's columns: the grid, the branch mask
-    (True for a half plane), radius, level and phi norm at each point;
-    disk_at(k) gives the WeylDisk at point k for a verdict's disk."""
+    """``detect_limit`` on a trace's columns: the increasing grid, the
+    branch mask (True for a half plane), radius, level and phi norm at
+    each point; disk_at(k) gives the WeylDisk at point k for a verdict's
+    disk."""
     if len(cs) < 8:
         raise ValueError("limit detection needs at least 8 grid points")
-    disk = ~halfplane
-    if disk.any() and np.any(cs[halfplane] > cs[disk].min()):
+    disks = np.flatnonzero(~halfplane)
+    if len(disks) and halfplane[disks[0]:].any():
         return Verdict("Inconclusive",
                        detail="half-plane branch reappeared after disks")
 
-    if disk.any():
-        radii = radius[disk]
+    if len(disks):
+        radii = radius[disks]
         if len(radii) < 4:
             return Verdict("Inconclusive", detail="too few disk points")
         ratios = radii[1:] / radii[:-1]
         if (radii[-1] < config.lp_radius_drop * radii[0]
-                and np.all(ratios[-3:] <= config.lp_ratio)):
-            last = disk_at(np.flatnonzero(disk)[-1])
+                and (ratios[-3:] <= config.lp_ratio).all()):
+            last = disk_at(disks[-1])
             return Verdict("LimitPoint", m0=last.center, disk=last)
         rel_change = np.max(np.abs(radii[-3:] - radii[-1])) / radii[-1]
         if rel_change < config.lc_rel_change and radii[-1] > config.lc_min_radius:
-            last = disk_at(np.flatnonzero(disk)[-1])
+            last = disk_at(disks[-1])
             return Verdict("LimitCircle", m0=last.center, disk=last)
         return Verdict("Inconclusive",
                        detail=f"radius trend unresolved (last ratio "

@@ -299,7 +299,7 @@ class Piece(NamedTuple):
         if self.F is not None:
             try:
                 left, right = self.F(lo), self.F(hi)
-            except (ZeroDivisionError, ValueError, OverflowError):
+            except (ExpressionDomainError, ZeroDivisionError, ValueError, OverflowError):
                 left = right = math.nan
             value = right - left
             if (cmath.isfinite(value) and 8 * _EPS * (abs(left) + abs(right))

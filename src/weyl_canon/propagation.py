@@ -9,8 +9,9 @@ chosen from the expression AST alone:
   and where A0, AR and AI commute pairwise (2x2 matrices commute exactly
   when their traceless parts are parallel, tested to 16 eps |X| |Y|),
   the solution is exp((x - lo) A0 + Re I AR + Im I AI) u(lo) with I the
-  integral of E over (lo, x), one 2x2 exponential and one scalar
-  quadrature.  A constant piece is the case beta = 0: AR = AI = 0, and
+  integral of E over (lo, x), one 2x2 exponential and one
+  ``Piece.integral`` (an antiderivative read off E's AST, or a scalar
+  quadrature).  A constant piece is the case beta = 0: AR = AI = 0, and
   the solution is exp((x - lo) A0) u(lo) with no quadrature;
 * Magnus: elsewhere, adaptive commutator-free Magnus steps of order 4,
   each the product of two closed-form exponentials of averages of A at

@@ -2,7 +2,8 @@
 
 One routine, ``integrate``, serves every integral of the package: the
 measure masses, the integrability probe near 0, the piece node E
-(``Piece.integral``), and, one piece at a time through
+(``Piece.integral``, where E has no antiderivative whose difference is
+within this routine's tolerance), and, one piece at a time through
 ``Problem.integrate``, tau's imaginary parts and ``propagation._gram``
 (the kernel Gram matrix and the quadrature norm) on the pieces where
 their forms do not already give them.  Each interval gets the

@@ -355,7 +355,7 @@ def _weyl_arrays(cs, entries, norm_psi_sq, tol_null, taus):
 
 def _weyl_objects(lam, cs, entries, halfplane, center, radius, level):
     """The WeylHalfPlane or WeylDisk at each point of ``_weyl_arrays``."""
-    A, B, C, D = (np.asarray(e)[:len(halfplane)] for e in entries)
+    A, B, C, D = (np.asarray(e) for e in entries)
     rho = _times_conj(A, D) - _times_conj(B, C)
     side = 1 if lam.imag > 0 else -1
     return [WeylHalfPlane(c, lam, lv, side, r, e) if h else WeylDisk(c, lam, m, rd, e)
