@@ -580,7 +580,10 @@ def _fold(expr, lo, hi, values=None):
         op, args = _FUNC_IMPL[expr.func], (v,)
     else:
         return expr, _eval(expr, None)      # None for x itself
-    return expr, _apply(op, *args)     # None for an error eval_expr reports
+    try:     # an error that eval_expr reports leaves no value
+        return expr, None if None in args else op(*args)
+    except (ExpressionDomainError, ZeroDivisionError, ValueError, OverflowError):
+        return expr, None
 
 
 def fold_steps(expr: Expr, lo: float, hi: float) -> Expr:
